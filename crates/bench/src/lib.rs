@@ -327,15 +327,6 @@ pub const SOAK_REQUESTS: usize = 100_000;
 /// outstanding before reading a response.
 pub const SOAK_PIPELINE_WINDOW: usize = 64;
 
-/// Which serving core a [`soak_workload`] run drives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SoakCore {
-    /// The event-driven reactor (`serve_tcp`'s default path).
-    Reactor,
-    /// The retained thread-per-connection twin (the baseline).
-    Threaded,
-}
-
 /// What one §SOAK run observed: every response was typed and arrived in
 /// order (enforced inside, a violation panics the harness), so the report
 /// is pure performance — client-observed latency quantiles and end-to-end
@@ -363,19 +354,14 @@ pub struct SoakReport {
 
 /// The §SOAK experiment: `connections` concurrent pipelined clients push
 /// `total_requests` requests (a stats-heavy mix with periodic cache-hot
-/// decides) through one in-process server running the chosen `core`, each
-/// client keeping up to `window` requests outstanding.
+/// decides) through one in-process `serve_tcp` server, each client keeping
+/// up to `window` requests outstanding.
 ///
 /// The harness *asserts* the serving invariants while measuring: every
 /// request gets exactly one response, every response parses as JSON with a
 /// `type` member and echoes its request id in pipeline order, and no read
 /// stalls longer than 30 s (a hang fails the run rather than wedging it).
-pub fn soak_workload(
-    core: SoakCore,
-    connections: usize,
-    total_requests: usize,
-    window: usize,
-) -> SoakReport {
+pub fn soak_workload(connections: usize, total_requests: usize, window: usize) -> SoakReport {
     use cqdet_engine::Json;
     use std::collections::VecDeque;
     use std::io::{BufRead as _, BufReader, Write as _};
@@ -395,17 +381,10 @@ pub fn soak_workload(
     let (addr_tx, addr_rx) = mpsc::channel();
     let server = {
         let engine = Arc::clone(&engine);
-        std::thread::spawn(move || match core {
-            SoakCore::Reactor => {
-                cqdet_service::serve_tcp_reactor(&engine, "127.0.0.1:0", &options, |addr| {
-                    let _ = addr_tx.send(addr);
-                })
-            }
-            SoakCore::Threaded => {
-                cqdet_service::serve_tcp_threaded(&engine, "127.0.0.1:0", &options, |addr| {
-                    let _ = addr_tx.send(addr);
-                })
-            }
+        std::thread::spawn(move || {
+            cqdet_service::serve_tcp(&engine, "127.0.0.1:0", &options, |addr| {
+                let _ = addr_tx.send(addr);
+            })
         })
     };
     let addr = addr_rx

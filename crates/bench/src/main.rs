@@ -24,7 +24,7 @@
 
 use cqdet_bench::{
     batch_workload, decide_workload, dedup_components_workload, hom_source, hom_target,
-    serve_request_line, serve_workload, soak_workload, span_workload, span_workload_seed, SoakCore,
+    serve_request_line, serve_workload, soak_workload, span_workload, span_workload_seed,
     BATCH_SHARED_VIEWS, BATCH_TASK_COUNTS, DECIDE_MANY_VIEW_COUNTS, LINALG_SPAN_SHAPES,
     SERVE_SHARED_VIEWS, SERVE_TASK_COUNTS, SOAK_CONNECTIONS, SOAK_PIPELINE_WINDOW, SOAK_REQUESTS,
 };
@@ -133,6 +133,13 @@ fn bench_label() -> String {
 }
 
 fn main() {
+    // Measure what a request on an idle server does: run with one worker
+    // pool installed, whose idle workers help the pipeline's and the
+    // batches' fan-outs (the main thread works too: one thread per core).
+    cqdet_parallel::Pool::new(cqdet_parallel::max_parallelism() - 1).install(run);
+}
+
+fn run() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut json_path = None;
     let mut quick = false;
@@ -397,41 +404,34 @@ fn main() {
 
     // SOAK: the serving layer under sustained concurrent load (§SOAK) —
     // 32 pipelined connections pushing 100k requests (4k under `--quick`)
-    // through an in-process server, on BOTH cores: the event-driven
-    // reactor (`soak/reactor/...`) and the retained thread-per-connection
-    // twin (`soak/threaded/...`, the baseline the reactor must not lose
-    // to).  The harness asserts the invariants while it measures: every
-    // request answered exactly once, typed, ids echoed in pipeline order,
-    // no read stalled ≥ 30 s.  Rows carry throughput and latency
-    // quantiles instead of mean/min/max timings.
+    // through an in-process `serve_tcp` server (`soak/reactor/...`).  The
+    // harness asserts the invariants while it measures: every request
+    // answered exactly once, typed, ids echoed in pipeline order, no read
+    // stalled ≥ 30 s.  Rows carry throughput and latency quantiles instead
+    // of mean/min/max timings.
     if h.family_enabled("soak") {
         let total = if quick { 4_000 } else { SOAK_REQUESTS };
-        for (name, core) in [
-            ("reactor", SoakCore::Reactor),
-            ("threaded", SoakCore::Threaded),
-        ] {
-            let r = soak_workload(core, SOAK_CONNECTIONS, total, SOAK_PIPELINE_WINDOW);
-            println!(
-                "soak/{name}/{SOAK_CONNECTIONS}x{total:<24} {:>10.0} req/s  p50 {:>9}  p95 {:>9}  p99 {:>9}  mean {:>9}",
-                r.throughput_rps,
-                ns(r.p50_us * 1e3),
-                ns(r.p95_us * 1e3),
-                ns(r.p99_us * 1e3),
-                ns(r.mean_us * 1e3),
-            );
-            assert_eq!(r.requests, total, "soak must answer every request");
-            assert_eq!(r.shed, 0, "soak budget is sized to never shed");
-            assert!(
-                r.served >= total as u64,
-                "server must count every soak response: served {} < {total}",
-                r.served
-            );
-            h.append_json(format!(
-                "{{\"benchmark\":\"soak/{name}/{SOAK_CONNECTIONS}x{total}\",\"label\":\"{}\",\"throughput_rps\":{:.1},\"p50_us\":{:.1},\"p95_us\":{:.1},\"p99_us\":{:.1},\"mean_us\":{:.1},\"requests\":{},\"connections\":{SOAK_CONNECTIONS},\"window\":{SOAK_PIPELINE_WINDOW},\"shed\":{},\"elapsed_s\":{:.3}}}\n",
-                h.label, r.throughput_rps, r.p50_us, r.p95_us, r.p99_us, r.mean_us, r.requests,
-                r.shed, r.elapsed_s
-            ));
-        }
+        let r = soak_workload(SOAK_CONNECTIONS, total, SOAK_PIPELINE_WINDOW);
+        println!(
+            "soak/reactor/{SOAK_CONNECTIONS}x{total:<24} {:>10.0} req/s  p50 {:>9}  p95 {:>9}  p99 {:>9}  mean {:>9}",
+            r.throughput_rps,
+            ns(r.p50_us * 1e3),
+            ns(r.p95_us * 1e3),
+            ns(r.p99_us * 1e3),
+            ns(r.mean_us * 1e3),
+        );
+        assert_eq!(r.requests, total, "soak must answer every request");
+        assert_eq!(r.shed, 0, "soak budget is sized to never shed");
+        assert!(
+            r.served >= total as u64,
+            "server must count every soak response: served {} < {total}",
+            r.served
+        );
+        h.append_json(format!(
+            "{{\"benchmark\":\"soak/reactor/{SOAK_CONNECTIONS}x{total}\",\"label\":\"{}\",\"throughput_rps\":{:.1},\"p50_us\":{:.1},\"p95_us\":{:.1},\"p99_us\":{:.1},\"mean_us\":{:.1},\"requests\":{},\"connections\":{SOAK_CONNECTIONS},\"window\":{SOAK_PIPELINE_WINDOW},\"shed\":{},\"elapsed_s\":{:.3}}}\n",
+            h.label, r.throughput_rps, r.p50_us, r.p95_us, r.p99_us, r.mean_us, r.requests,
+            r.shed, r.elapsed_s
+        ));
     }
 
     // LINALG: the exact span/rank kernels on tall bignum systems — the

@@ -340,6 +340,21 @@ impl Prepared {
     }
 }
 
+/// Below this many atoms across the views and the query, the per-view
+/// stages run inline even when pool workers are idle: waking a parked
+/// worker and joining it then costs more than it saves.  Set at the
+/// measured idle crossover (EXPERIMENTS.md, "Perf notes — POOL").
+const FAN_OUT_MIN_ATOMS: usize = 512;
+
+/// One per-view stage: [`par_map`] when `fan_out`, a serial map otherwise.
+fn stage_map<T: Sync, R: Send>(fan_out: bool, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    if fan_out {
+        par_map(items, f)
+    } else {
+        items.iter().map(f).collect()
+    }
+}
+
 /// Stages 0–3 of the pipeline (see [`Prepared`]); the caller supplies the
 /// span verdict and scatters it through [`finish`].
 pub(crate) fn prepare(
@@ -368,20 +383,25 @@ pub(crate) fn prepare(
     // Freeze every query exactly once over the common schema — or reuse the
     // session's frozen copy when an earlier call already did.  All later
     // steps (containment, components, vectors) reuse the frozen bodies.
-    // Every per-view stage from here on fans out over scoped threads
-    // (`cqdet_parallel::par_map`, serial below its cutoff): each view is
+    // From here on, on instances of at least `FAN_OUT_MIN_ATOMS` atoms,
+    // every per-view stage is a `cqdet_parallel::par_map`: each view is
     // independent until the basis is assembled, and the shared state
-    // (schema, context caches, basis) is `Sync`.
+    // (schema, context caches, basis) is `Sync`.  Inside a worker pool,
+    // idle workers help; under load, or outside a pool, the stage runs
+    // inline on the calling thread.  No stage reads thread-local state, so
+    // it does not matter which thread runs an item.
+    let fan_out = all.iter().map(|q| q.atoms().len()).sum::<usize>() >= FAN_OUT_MIN_ATOMS;
     let q_frozen = cx.frozen(&schema, query);
-    let view_frozen: Vec<Arc<FrozenQuery>> = par_map(views, |v| cx.frozen(&schema, v));
+    let view_frozen: Vec<Arc<FrozenQuery>> = stage_map(fan_out, views, |v| cx.frozen(&schema, v));
 
     // Intern the frozen bodies by isomorphism class: every remaining
     // per-view quantity (the ⊆_set gate, the component decomposition, the
     // multiplicity vector) is isomorphism-invariant, so it is computed once
     // per class and shared by all views of the class.  Classes are named by
     // the session-wide table (`DecisionContext::class_id`), then compressed
-    // to call-local indices; canonization itself happened (in parallel, or
-    // in an earlier call) when the frozen entries were constructed.
+    // to call-local indices; canonization itself happened (in the fan-out
+    // above, or in an earlier call) when the frozen entries were
+    // constructed.
     let mut class_of: Vec<usize> = Vec::with_capacity(views.len());
     let mut reps: Vec<usize> = Vec::new(); // class → first view with that body
     let mut class_session_ids: Vec<u32> = Vec::new(); // class → session-wide id
@@ -403,10 +423,10 @@ pub(crate) fn prepare(
     ctl.check("gate")?;
     fail_point!("decide/gate", |msg| Err(DeterminacyError::Internal(msg)));
     let rep_frozen: Vec<&FrozenQuery> = reps.iter().map(|&i| &*view_frozen[i]).collect();
-    // Each parallel worker meters its search through its own gas handle; the
-    // handles share one ledger (the request budget), so the limit bounds the
-    // *total* work of the fan-out, not per-view work.
-    let class_retained: Vec<bool> = par_map(&rep_frozen, |f| {
+    // Each item meters its search through its own gas handle, whichever
+    // thread runs it; the handles share one ledger (the request budget), so
+    // the limit bounds the *total* work of the fan-out, not per-view work.
+    let class_retained: Vec<bool> = stage_map(fan_out, &rep_frozen, |f| {
         cx.gate_gas(f, &q_frozen, &mut Gas::new(ctl, budget, "gate"))
     })
     .into_iter()
@@ -423,9 +443,10 @@ pub(crate) fn prepare(
     fail_point!("decide/basis", |msg| Err(DeterminacyError::Internal(msg)));
     let retained_rep_frozen: Vec<&FrozenQuery> =
         retained_classes.iter().map(|&c| rep_frozen[c]).collect();
-    let class_comps: Vec<&[Structure]> = par_map(&retained_rep_frozen, |f| f.components());
+    let class_comps: Vec<&[Structure]> =
+        stage_map(fan_out, &retained_rep_frozen, |f| f.components());
     let q_comps = q_frozen.components();
-    // Warm every component's canonical key in parallel, then de-duplicate by
+    // Warm every component's canonical key (fanned out), then de-duplicate by
     // key ([`cqdet_structure::dedup_up_to_iso`]'s exact first-occurrence
     // semantics) cloning only the basis members; the clones share the cached
     // keys with their originals (and with every other task holding the same
@@ -437,7 +458,7 @@ pub(crate) fn prepare(
             .flat_map(|c| c.iter())
             .chain(q_comps.iter())
             .collect();
-        par_map(&all, |c| {
+        stage_map(fan_out, &all, |c| {
             c.iso_class_key();
         });
     }
@@ -460,9 +481,11 @@ pub(crate) fn prepare(
     // Step 3: vector representations (Definition 29), one per class, via a
     // canonical-key index over the basis built exactly once.
     let basis_index = BasisIndex::new(&basis);
-    let class_vectors: Vec<QVec> = par_map(&class_comps, |comps| vector_of(&basis_index, comps))
-        .into_iter()
-        .collect::<Result<_, _>>()?;
+    let class_vectors: Vec<QVec> = stage_map(fan_out, &class_comps, |comps| {
+        vector_of(&basis_index, comps)
+    })
+    .into_iter()
+    .collect::<Result<_, _>>()?;
     let query_vector = vector_of(&basis_index, q_comps)?;
     let mut retained_pos = vec![usize::MAX; reps.len()]; // class → row in class_vectors
     for (p, &c) in retained_classes.iter().enumerate() {

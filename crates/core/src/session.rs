@@ -159,6 +159,11 @@ const SPAN_DEFAULT_BYTES: usize = 64 << 20;
 const HOM_DEFAULT_BYTES: usize = 64 << 20;
 const CAND_DEFAULT_BYTES: usize = 16 << 20;
 
+/// Shards of the frozen-body cache.  Few, because an entry must fit in one
+/// shard's slice of the budget: a session's disjoint-sum query of a
+/// thousand atoms keeps a dense adjacency bitmap of hundreds of KiB alive.
+const FROZEN_SHARDS: usize = 4;
+
 /// How a serve-level `--cache-bytes` total is split across the five
 /// governed caches, in percent: hom and span carry the expensive entries
 /// (backtracking searches, bigint echelon rows), the rest are cheap to
@@ -169,16 +174,18 @@ const SPLIT_FROZEN: u64 = 10;
 const SPLIT_GATE: u64 = 10;
 const SPLIT_CAND: u64 = 10;
 
-/// Approximate byte cost of one frozen body: the fingerprint key plus a
-/// fixed estimate of the structure, key and component storage (bodies are
-/// query-sized by construction — a handful of atoms).
+/// Byte cost of one frozen body: the fingerprint key plus what the entry
+/// keeps alive — the body structure with its compiled flat form, and its
+/// connected components, which partition the body's facts and get flat
+/// forms of their own once canonized, so they are charged as a second copy
+/// of the body.
 #[allow(clippy::ptr_arg)] // must match the cache's `fn(&K, &V)` weigher type
-fn frozen_weight(key: &String, _v: &Arc<FrozenQuery>) -> usize {
-    key.len() + 512
+fn frozen_weight(key: &String, v: &Arc<FrozenQuery>) -> usize {
+    key.len() + std::mem::size_of::<FrozenQuery>() + 2 * v.body.heap_bytes()
 }
 
-/// Byte cost of one gate verdict: two `Arc` key handles plus map-entry
-/// bookkeeping (the canonical keys themselves are shared with the frozen
+/// Byte cost of one gate verdict: two `Arc` canonical-key handles plus
+/// map-entry bookkeeping (the keys themselves are shared with the frozen
 /// cache, so charging them here would double-count).
 fn gate_weight(_k: &(IsoClassKey, IsoClassKey), _v: &bool) -> usize {
     96
@@ -195,18 +202,14 @@ fn span_weight(key: &Vec<u32>, entry: &Arc<SpanEntry>) -> usize {
 
 /// Cross-request caches for [`crate::boolean::decide_bag_determinacy_in`]:
 /// see the [module docs](self) for what is shared and why.  All interior
-/// state is lock-protected, so one context can serve a scoped fan-out of
-/// tasks (`&DecisionContext` is `Sync`).  The value caches (frozen bodies,
+/// state is lock-protected, so one context can serve a pool-wide fan-out
+/// of tasks (`&DecisionContext` is `Sync`).  The value caches (frozen bodies,
 /// gate verdicts, span systems, hom counts) are governed
 /// [`ShardedCache`]s — byte-capped, clock-evicting, never refusing — and
 /// the interning class table is bounded by [`CONTEXT_CACHE_CAP`].
 pub struct DecisionContext {
     caches: Arc<SharedCaches>,
     frozen: ShardedCache<String, Arc<FrozenQuery>>,
-    // The `OnceLock`-cached canonical key behind `IsoClassKey` is forced at
-    // construction and immutable afterwards, so the interior-mutability
-    // clippy lint does not apply (same reasoning as in `cqdet_structure::iso`).
-    #[allow(clippy::mutable_key_type)]
     gate: ShardedCache<(IsoClassKey, IsoClassKey), bool>,
     /// Gate verdicts restored from a warm-start snapshot, keyed by the
     /// concatenated canonical bytes of both classes ([`pair_key`]).
@@ -218,7 +221,6 @@ pub struct DecisionContext {
     /// different class (a reused id could alias two distinct classes inside
     /// one in-flight call; a class holding two ids merely duplicates a span
     /// column).
-    #[allow(clippy::mutable_key_type)]
     classes: Mutex<(HashMap<IsoClassKey, u32>, u32)>,
     /// Class ids restored from a warm-start snapshot, keyed by canonical
     /// bytes: [`DecisionContext::class_id`] honors these on first sight, so
@@ -256,7 +258,7 @@ impl DecisionContext {
     pub fn new() -> DecisionContext {
         DecisionContext {
             caches: Arc::new(SharedCaches::new()),
-            frozen: ShardedCache::new(FROZEN_DEFAULT_BYTES, frozen_weight),
+            frozen: ShardedCache::with_shards(FROZEN_SHARDS, FROZEN_DEFAULT_BYTES, frozen_weight),
             gate: ShardedCache::new(GATE_DEFAULT_BYTES, gate_weight),
             gate_preload: Mutex::new(HashMap::new()),
             classes: Mutex::new((HashMap::new(), 0)),
@@ -858,6 +860,23 @@ mod tests {
         // Components are computed once and cached on the shared entry.
         assert_eq!(a.components().len(), 1);
         assert_eq!(c.components().len(), 1);
+    }
+
+    #[test]
+    fn frozen_bodies_are_charged_what_they_keep_alive() {
+        let cx = DecisionContext::new();
+        let schema = Schema::binary(["R"]);
+        let names: Vec<String> = (0..=64).map(|i| format!("x{i}")).collect();
+        let atoms = (0..64)
+            .map(|i| Atom::new("R", &[names[i].as_str(), names[i + 1].as_str()]))
+            .collect();
+        let path = cx.frozen(&schema, &ConjunctiveQuery::boolean("p", atoms));
+        let charged = cx.stats().frozen_usage.bytes as usize;
+        assert!(path.body().heap_bytes() > 64 * 16, "facts and flat form");
+        assert!(
+            charged >= 2 * path.body().heap_bytes(),
+            "body and components"
+        );
     }
 
     #[test]

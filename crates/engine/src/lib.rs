@@ -10,9 +10,9 @@
 //!   `cqdet_structure::SharedCaches`), so a batch of N tasks reusing the
 //!   same views freezes, canonizes, decomposes and gates each isomorphism
 //!   class **once per session** instead of once per task;
-//! * [`DecisionSession::decide_batch`] — the task fan-out: one scoped
-//!   thread per task (`cqdet-parallel`), the per-view fan-out inside each
-//!   task running inline on its worker;
+//! * [`DecisionSession::decide_batch`] — the task fan-out: a
+//!   `cqdet_parallel::par_map` over tasks, helped by the idle workers of
+//!   the calling thread's pool (serial outside one);
 //! * [`TaskRecord`] — the full per-task certificate (span coefficients +
 //!   rewriting when determined; the `Counterexample` answer vectors,
 //!   re-verified via `check_certificate_arithmetic`, when not), with

@@ -3,14 +3,14 @@
 //! A session wraps a [`DecisionContext`] (the cross-request caches of
 //! `cqdet-core`: frozen bodies, canonical keys, components, containment
 //! gates, the session iso-class table) together with the policy knobs of a
-//! batch run ([`SessionConfig`]) and the task fan-out: `decide_batch`
-//! spreads tasks over scoped threads (`cqdet_parallel::par_map`), each
-//! worker installing the session's shared hom-count cache
-//! (`cqdet_structure::with_shared_caches`) so witness construction reuses
-//! counts across tasks.  Inside a worker the per-view fan-out of the
-//! decision pipeline runs inline (nested fan-outs are serial by design), so
-//! a batch uses one level of parallelism — across tasks — without
-//! oversubscribing.
+//! batch run ([`SessionConfig`]) and the task fan-out: `decide_batch` maps
+//! over tasks with `cqdet_parallel::par_map`, so on a worker pool (the
+//! server's, or the one `cqdet batch` runs in) idle workers take tasks too,
+//! and with every worker busy the batch runs inline.  Each task installs
+//! the session's shared hom-count cache
+//! (`cqdet_structure::with_shared_caches`) on whichever thread runs it, so
+//! witness construction reuses counts across tasks.  A task's own per-view
+//! fan-out draws on the same pool, never on new threads.
 //!
 //! Every task produces a [`TaskRecord`] carrying the **full certificate**:
 //!
@@ -399,7 +399,8 @@ impl DecisionSession {
         record
     }
 
-    /// Run a batch of tasks, fanning out across scoped threads.  Records
+    /// Run a batch of tasks, fanned out over the calling thread's worker
+    /// pool (see the [module docs](self)).  Records
     /// come back in input order; [`BatchReport::stats`] reflects the session
     /// counters after the whole batch.
     pub fn decide_batch(&self, tasks: &[Task]) -> BatchReport {

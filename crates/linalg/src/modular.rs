@@ -37,7 +37,7 @@ use std::sync::OnceLock;
 /// per process).  When set, every modular prescreen reports
 /// [`SpanOutcome::Fallback`] / `None` immediately and the callers run pure
 /// exact rational elimination — the differential-debugging twin of
-/// `CQDET_NAIVE_HOM` / `CQDET_SERIAL`.
+/// `CQDET_NAIVE_HOM`.
 pub fn exact_linalg_forced() -> bool {
     static FLAG: OnceLock<bool> = OnceLock::new();
     *FLAG.get_or_init(|| {

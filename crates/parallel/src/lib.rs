@@ -1,35 +1,40 @@
-//! Scoped-thread fan-out: a dependency-free `par_map` in the spirit of the
-//! offline stand-ins under `crates/shims/` (the sandbox this workspace builds
-//! in has no crates.io access, so no `rayon`).
+//! Parallelism for the decision procedure and the server, dependency-free
+//! in the spirit of the offline stand-ins under `crates/shims/` (the
+//! sandbox this workspace builds in has no crates.io access, so no `rayon`).
 //!
-//! The model is deliberately minimal: [`par_map`] spreads one closure over a
-//! slice using `std::thread::scope`, with workers pulling item indices from a
-//! shared atomic cursor (natural load balancing when item costs are skewed,
-//! which they are for per-view homomorphism searches).  Results come back in
-//! input order.  Small inputs — and every input when `CQDET_SERIAL=1` is set
-//! or the machine reports a single hardware thread — run inline on the
-//! calling thread, so unit-test-sized workloads never pay thread spawn
-//! latency and the escape hatch gives benchmarks a serial baseline.
+//! One persistent [`Pool`] per process is the only source of threads: the
+//! TCP server's request workers are its threads, and `cqdet batch` runs
+//! inside one.  [`par_map`] spreads a closure over a slice with help from
+//! the pool's *idle* workers, which pull item indices from a shared atomic
+//! cursor (natural load balancing when item costs are skewed, which they
+//! are for per-view homomorphism searches).  Results come back in input
+//! order.  The calling thread always works through the cursor itself, so a
+//! fan-out never waits for a free worker: with every worker busy serving
+//! requests it simply runs inline, and on an idle pool one large request
+//! uses every core without spawning a thread.  Outside a pool (library
+//! callers, tests) [`par_map`] is a plain serial map.
 //!
 //! The decision procedure (`cqdet-core`) uses this to fan out its per-view
 //! stages: query freezing, the `hom_exists` retention gate, connected-
-//! component decomposition, and multiplicity-vector construction; the batch
-//! engine (`cqdet-engine`) fans out across whole tasks.  Anything
-//! shared read-only across workers (schemas, frozen bodies, the basis) only
-//! needs `Sync`; per-structure lazy state (`flat()`, canonical keys) lives in
-//! `OnceLock`s, which are safe to race on.
-//!
-//! **Nested fan-outs run inline.**  A [`par_map`] call made from inside a
-//! [`par_map`] worker executes serially on that worker: the two levels of
-//! the batch engine (tasks × views) would otherwise spawn `cores²` threads,
-//! and per-thread state installed by the outer worker (the shared-cache
-//! override of `cqdet-structure`) would not reach grandchild threads.  One
-//! fan-out level — the outermost — always wins the hardware.
+//! component decomposition, canonical keys and multiplicity-vector
+//! construction; the batch engine (`cqdet-engine`) fans out across whole
+//! tasks.  Anything shared read-only across workers (schemas, frozen
+//! bodies, the basis) only needs `Sync`; per-structure lazy state
+//! (`flat()`, canonical keys) lives in `OnceLock`s, which are safe to race
+//! on.  Items run on whichever thread claims them, so an item must not
+//! depend on the caller's thread-local state (such as the hom-count cache
+//! override of `cqdet-structure`): a batch task installs its own.
 //!
 //! ```
-//! // Results come back in input order, whatever the interleaving was.
+//! // Outside a pool: serial, in order.
 //! let squares = cqdet_parallel::par_map(&[1u64, 2, 3, 4], |x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
+//!
+//! // Inside one: the same results, with idle workers helping.
+//! let pool = cqdet_parallel::Pool::new(2);
+//! let items: Vec<u64> = (0..100).collect();
+//! let sum: u64 = pool.install(|| cqdet_parallel::par_map(&items, |x| x * 2).iter().sum());
+//! assert_eq!(sum, 9900);
 //! ```
 
 pub mod deadline;
@@ -38,69 +43,33 @@ pub mod pool;
 
 pub use deadline::{CancelToken, Expired};
 pub use fuel::{Budget, Exhausted, Gas, Interrupt};
-pub use pool::{BoundedQueue, TryPushError};
+pub use pool::Pool;
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Inputs shorter than this run inline: thread spawn latency (~tens of µs)
-/// dwarfs per-item work on the unit-test-sized instances that dominate call
-/// sites, and keeping them on the calling thread also keeps their
-/// thread-local caches warm.
-const SERIAL_CUTOFF: usize = 8;
-
-thread_local! {
-    /// Whether the current thread is itself a [`par_map`] worker.  Nested
-    /// fan-outs run inline on their worker: without the guard, a batch-level
-    /// fan-out (one worker per task, `cqdet-engine`) whose tasks each fan
-    /// out their per-view stages would spawn `cores × cores` threads, and
-    /// per-thread state installed on the worker (the shared-cache override
-    /// of `cqdet-structure`) would not propagate to the grandchildren.
-    static IS_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Whether the `CQDET_SERIAL=1` escape hatch is active (checked once).
-fn serial_override() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| {
-        std::env::var("CQDET_SERIAL")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-    })
-}
-
-/// The number of worker threads a fan-out may use (hardware parallelism,
-/// `1` when it cannot be determined or `CQDET_SERIAL=1` is set).
+/// The hardware parallelism (`1` when it cannot be determined): the
+/// default size of a [`Pool`].
 ///
 /// Cached after the first call: `std::thread::available_parallelism` re-reads
 /// cgroup limits from `/sys` every time, which costs ~10µs per call in a
-/// container — far more than a small serial fan-out itself.
+/// container.
 pub fn max_parallelism() -> usize {
     static CACHED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *CACHED.get_or_init(|| {
-        if serial_override() {
-            return 1;
-        }
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
     })
 }
 
-/// Map `f` over `items`, in parallel when it pays, returning results in
-/// input order.  Panics in `f` propagate to the caller.
-///
-/// Runs inline (no threads) when the input is shorter than the serial
-/// cutoff, when the machine has a single hardware thread, when
-/// `CQDET_SERIAL=1` is set, or when the caller is itself a `par_map`
-/// worker (see the [module docs](self) on nesting).
+/// Map `f` over `items`, returning results in input order, with idle
+/// workers of the calling thread's [`Pool`] helping (see the [module
+/// docs](self)).  Panics in `f` propagate to the caller.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_indexed(items, |_, item| f(item))
+    pool::map_indexed(items, |_, item| f(item))
 }
 
 /// [`par_map`] with the item index passed to the closure.
@@ -115,124 +84,5 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let n = items.len();
-    let workers = max_parallelism().min(n);
-    if n < SERIAL_CUTOFF || workers < 2 || IS_WORKER.with(Cell::get) {
-        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut results: Vec<(usize, R)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    IS_WORKER.with(|w| w.set(true));
-                    let mut local = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(i, &items[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| match h.join() {
-                Ok(local) => local,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-    results.sort_unstable_by_key(|&(i, _)| i);
-    results.into_iter().map(|(_, r)| r).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn matches_serial_map_and_preserves_order() {
-        for n in [0usize, 1, 7, 8, 9, 100, 1000] {
-            let items: Vec<u64> = (0..n as u64).collect();
-            let expected: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
-            assert_eq!(par_map(&items, |x| x * x + 1), expected, "n={n}");
-        }
-    }
-
-    #[test]
-    fn indexed_variant_sees_correct_indices() {
-        let items = vec!["a"; 64];
-        let out = par_map_indexed(&items, |i, s| format!("{s}{i}"));
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(v, &format!("a{i}"));
-        }
-    }
-
-    #[test]
-    fn non_clone_results_are_supported() {
-        struct NoClone(usize);
-        let items: Vec<usize> = (0..50).collect();
-        let out = par_map(&items, |&x| NoClone(x + 1));
-        assert!(out.iter().enumerate().all(|(i, r)| r.0 == i + 1));
-    }
-
-    #[test]
-    fn skewed_workloads_balance() {
-        // Item cost varies by orders of magnitude; results must still be
-        // complete and ordered.
-        let items: Vec<u64> = (0..64).collect();
-        let out = par_map(&items, |&x| {
-            let spins = if x % 13 == 0 { 200_000 } else { 10 };
-            (0..spins).fold(x, |acc, i| acc.wrapping_mul(31).wrapping_add(i))
-        });
-        let serial: Vec<u64> = items
-            .iter()
-            .map(|&x| {
-                let spins = if x % 13 == 0 { 200_000 } else { 10 };
-                (0..spins).fold(x, |acc, i| acc.wrapping_mul(31).wrapping_add(i))
-            })
-            .collect();
-        assert_eq!(out, serial);
-    }
-
-    #[test]
-    fn nested_fanouts_run_inline_on_workers() {
-        // An outer fan-out's workers must not spawn their own worker pools:
-        // the inner par_map runs inline, so per-thread state set up by the
-        // outer worker (here a thread-local marker; in production the
-        // shared-cache override) is visible to every inner item.
-        thread_local! {
-            static MARKER: Cell<u64> = const { Cell::new(0) };
-        }
-        let outer: Vec<u64> = (0..32).collect();
-        let sums = par_map(&outer, |&x| {
-            MARKER.with(|m| m.set(x + 1));
-            let inner: Vec<u64> = (0..16).collect();
-            let seen = par_map(&inner, |_| MARKER.with(Cell::get));
-            assert!(
-                seen.iter().all(|&v| v == x + 1),
-                "inner items left the outer worker thread"
-            );
-            seen.iter().sum::<u64>()
-        });
-        for (x, s) in outer.iter().zip(&sums) {
-            assert_eq!(*s, 16 * (x + 1));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "boom 37")]
-    fn worker_panics_propagate() {
-        let items: Vec<usize> = (0..64).collect();
-        let _ = par_map(&items, |&x| {
-            if x == 37 {
-                panic!("boom {x}");
-            }
-            x
-        });
-    }
+    pool::map_indexed(items, f)
 }

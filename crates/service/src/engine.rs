@@ -341,6 +341,14 @@ impl Engine {
     /// panics are caught and become typed [`CqdetError::Internal`] errors
     /// (`&self` stays usable — all session caches recover from poisoning).
     pub fn submit(&self, request: Request) -> Response {
+        self.submit_admitted(request, None)
+    }
+
+    /// [`Engine::submit`] for a request the TCP reactor admitted when
+    /// [`Engine::request_count`] stood at `admitted_at`; a `stats` response
+    /// reports the stamp, so a client can tell how many requests started
+    /// between its request's admission and its own start.
+    pub(crate) fn submit_admitted(&self, request: Request, admitted_at: Option<u64>) -> Response {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let Request {
             id,
@@ -356,7 +364,9 @@ impl Engine {
             .or_else(|| self.default_budget())
             .map(BudgetSpec::to_budget)
             .unwrap_or_else(Budget::none);
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.dispatch(&id, kind, &ctl, &budget)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            self.dispatch(&id, kind, &ctl, &budget, admitted_at)
+        }));
         let response = match outcome {
             Ok(Ok(response)) => response,
             Ok(Err(error)) => Response::Error {
@@ -405,6 +415,7 @@ impl Engine {
         kind: RequestKind,
         ctl: &CancelToken,
         budget: &Budget,
+        admitted_at: Option<u64>,
     ) -> Result<Response, CqdetError> {
         fail_point!("engine/submit", |msg: String| Err(CqdetError::internal(
             msg
@@ -460,6 +471,7 @@ impl Engine {
                     stats: self.session.stats(),
                     requests: self.request_count(),
                     counters: self.counters(),
+                    admitted_at,
                 })
             }
             RequestKind::Shutdown => {

@@ -17,10 +17,10 @@
 //!   witness) and panic containment;
 //! * [`serve`] / [`reactor`] — the JSON-lines server (`cqdet serve`):
 //!   stdin/stdout and TCP transports over one shared engine.  TCP is an
-//!   event-driven reactor feeding a fixed worker pool, with admission
-//!   control (in-flight budget, typed `resource_exhausted` shedding),
-//!   round-robin fairness, and graceful shutdown; the thread-per-
-//!   connection twin is retained as the benchmark baseline.
+//!   event-driven reactor feeding the server's one worker pool
+//!   (`cqdet_parallel::Pool`), with admission control (in-flight budget,
+//!   typed `resource_exhausted` shedding), round-robin fairness, and
+//!   graceful shutdown.
 //!
 //! The `cqdet` binary is a thin transport over this crate: every subcommand
 //! constructs a [`Request`] and goes through [`Engine::submit`] — one code
@@ -57,6 +57,7 @@ pub mod engine;
 pub mod error;
 pub mod frame;
 pub mod reactor;
+mod readiness;
 pub mod request;
 pub mod response;
 pub mod serve;
@@ -65,10 +66,7 @@ pub mod sessions;
 pub use engine::{parse_monomial, parse_program, Engine, EngineCounters};
 pub use error::CqdetError;
 pub use frame::{FrameBuffer, FrameError};
-pub use reactor::serve_tcp_reactor;
 pub use request::{BudgetSpec, Request, RequestKind, PROTOCOL_VERSION};
 pub use response::{counters_json, delta_counters_json, error_json, HilbertRefutation, Response};
-pub use serve::{
-    failpoint_names, respond_to_line, serve_lines, serve_tcp, serve_tcp_threaded, ServeOptions,
-};
+pub use serve::{failpoint_names, respond_to_line, serve_lines, serve_tcp, ServeOptions};
 pub use sessions::{SessionRegistry, SessionSlot, DEFAULT_MAX_SESSIONS, DEFAULT_SESSION_TTL};

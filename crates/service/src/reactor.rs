@@ -1,5 +1,5 @@
 //! The event-driven TCP core: one reactor thread owning *all* connection
-//! I/O, feeding a fixed worker pool through a bounded queue.
+//! I/O, feeding the workers of the server's one `cqdet_parallel::Pool`.
 //!
 //! ```text
 //!             ┌────────────────────────── reactor thread ──────────────────────────┐
@@ -8,7 +8,7 @@
 //!   bytes  ──▶│ FrameBuffer ──frames──▶ admission ──┬─ admit ─▶ pending (per conn) │
 //!             │                  (in-flight budget) └─ shed ──▶ typed error        │
 //!             │                                                                    │
-//!             │ round-robin dispatch ──▶ [BoundedQueue] ──▶ workers (render_line)  │
+//!             │ round-robin dispatch ──▶ [Pool queue] ──▶ workers (render_line)    │
 //!             │                                                  │                 │
 //!             │ in-order reorder (seq) ◀── completions ◀─────────┘                 │
 //!             │   │                                                                │
@@ -24,10 +24,12 @@
 //!   control — a client over budget reads `resource_exhausted`, it never
 //!   hangs.
 //! * **Fairness.**  Dispatch takes at most one pending request per
-//!   connection per pass, cycling the starting connection, and the job
-//!   queue is deliberately shallow — a 1000-deep pipeliner therefore leads
-//!   a single-request client by at most (queue depth + workers + one
-//!   round) at the wire, not by its whole pipeline.
+//!   connection per pass, cycling the starting connection, and at most
+//!   [`dispatch_depth`] requests are in the pool at once — a 1000-deep
+//!   pipeliner therefore leads a single-request client by at most (that
+//!   depth + one round) from the client's admission, not by its whole
+//!   pipeline.  Each admitted frame carries the engine's request count at
+//!   admission, which `stats` responses report as `admitted_at`.
 //! * **Admission is per-tick deterministic.**  `in_flight` is incremented
 //!   at admission and decremented when the reactor *collects* a
 //!   completion, so all frames extracted in one tick see one consistent
@@ -38,29 +40,31 @@
 //!   reactor seam (`serve/poll`, `serve/dispatch`, `serve/shed`) costs at
 //!   most one *request* (typed internal error) and never the loop.
 //!
-//! The thread-per-connection twin ([`crate::serve::serve_tcp_threaded`],
-//! reachable via `CQDET_THREADED_SERVE=1`) is kept as the behavioral
-//! baseline: the §SOAK bench family drives both cores over identical
-//! workloads and records the throughput/latency gap.
+//! The pool is created once per [`serve_tcp_reactor`] call and is the only
+//! source of threads while serving: a request that fans out (a batch, a
+//! large decide) borrows the pool's idle workers, or runs inline when
+//! every worker is busy.
 
 use crate::engine::Engine;
 use crate::error::CqdetError;
 use crate::frame::{FrameBuffer, FrameError};
+use crate::readiness::{Notify, Park};
 use crate::response::Response;
 use crate::serve::{boot_engine, persist_engine, reject_connection, render_line, ServeOptions};
 use cqdet_engine::Json;
 use cqdet_failpoint::fail_point;
-use cqdet_parallel::pool::{BoundedQueue, TryPushError};
+use cqdet_parallel::Pool;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// How long the reactor parks when a full tick made no progress.  Worker
-/// completions interrupt the park via condvar; only *new client bytes*
-/// must wait for it, so this bounds added idle latency, not throughput.
+/// The longest the reactor parks when a full tick made no progress.
+/// Client bytes, writable sockets, new connections and worker completions
+/// end the park at once (see [`crate::readiness`]); the timeout only
+/// bounds how late the accept back-off and the shutdown flag are seen.
 const IDLE_WAIT: Duration = Duration::from_millis(1);
 
 /// Most bytes one connection may feed the framer per tick: a firehosing
@@ -73,13 +77,6 @@ const READ_BYTES_PER_TICK: usize = 64 * 1024;
 /// grow our buffers without bound.
 const WRITE_HIGH_WATER: usize = 1 << 20;
 
-/// A framed request on its way to the pool, tagged with its reorder slot.
-struct Job {
-    conn: u64,
-    seq: u64,
-    line: String,
-}
-
 /// A finished request on its way back: `render_line`'s verdict (`None`
 /// for blank lines), plus the shutdown flag.
 struct Done {
@@ -88,11 +85,11 @@ struct Done {
     rendered: Option<(String, bool)>,
 }
 
-/// Completion channel: workers push, the reactor drains; the condvar is
-/// the reactor's wakeup so completions never wait out a full idle tick.
+/// Completion channel: workers push, the reactor drains; the notify ends
+/// the reactor's park so completions never wait out a full idle tick.
 struct Completions {
     done: Mutex<Vec<Done>>,
-    wake: Condvar,
+    wake: Notify,
 }
 
 impl Completions {
@@ -102,7 +99,7 @@ impl Completions {
 
     fn push(&self, done: Done) {
         self.lock().push(done);
-        self.wake.notify_all();
+        self.wake.wake();
     }
 }
 
@@ -124,8 +121,9 @@ struct Conn {
     next_seq: u64,
     /// Next sequence number to promote to the write buffer.
     next_write: u64,
-    /// Admitted frames waiting for a dispatch slot.
-    pending: VecDeque<(u64, String)>,
+    /// Admitted frames waiting for a dispatch slot: reorder slot, line,
+    /// and the engine's request count at admission.
+    pending: VecDeque<(u64, String, u64)>,
     /// Admitted frames dispatched but not yet collected.
     outstanding: usize,
     /// Out-of-order completion parking lot, promoted in `seq` order.
@@ -205,12 +203,19 @@ fn rendered_error(id: Option<String>, error: CqdetError) -> String {
     Response::Error { id, error }.to_json().render()
 }
 
+/// How many requests may sit in the pool (queued or running) at once.
+/// Bounded on purpose: the pool queue is a dispatch conduit, not a backlog
+/// — fairness comes from round-robin *dispatch order*, so the backlog stays
+/// in the per-connection pending queues where round-robin can see it.  The
+/// floor of 64 lets workers drain in batches instead of condvar ping-pong
+/// per job (on one core that handoff otherwise dominates cheap requests),
+/// while still bounding how far dispatch runs ahead of admission.
+fn dispatch_depth(workers: usize) -> usize {
+    (workers * 2 + 2).max(64) + workers
+}
+
 /// The event-driven implementation behind [`crate::serve::serve_tcp`].
-///
-/// Public so harnesses (the §SOAK benchmark) can pin this core explicitly
-/// and compare it against [`crate::serve::serve_tcp_threaded`] in one
-/// process; ordinary callers go through [`crate::serve::serve_tcp`].
-pub fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
+pub(crate) fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
     engine: &Engine,
     addr: &str,
     options: &ServeOptions,
@@ -227,38 +232,20 @@ pub fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
         options.worker_threads
     }
     .max(1);
-    // Bounded on purpose: the queue is a dispatch conduit, not a backlog —
-    // fairness comes from round-robin *dispatch order*, so the backlog
-    // stays in the per-connection pending queues where round-robin can see
-    // it, and anything already queued is RR-interleaved.  The floor of 64
-    // lets workers drain in batches instead of condvar ping-pong per job
-    // (on one core that handoff otherwise dominates cheap requests), while
-    // still bounding how far dispatch runs ahead of admission.
-    let jobs: BoundedQueue<Job> = BoundedQueue::new((workers * 2 + 2).max(64));
+    let pool = Pool::new(workers);
+    let depth = dispatch_depth(workers);
+    let (mut park, wake) = Park::new()?;
     let completions = Completions {
         done: Mutex::new(Vec::new()),
-        wake: Condvar::new(),
+        wake,
     };
 
     let mut served = 0u64;
     let mut fatal: Option<io::Error> = None;
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let (jobs, completions) = (&jobs, &completions);
-            scope.spawn(move || {
-                while let Some(job) = jobs.pop() {
-                    // render_line contains panics from every layer below
-                    // it; a worker thread itself never unwinds.
-                    let rendered = render_line(engine, &job.line);
-                    completions.push(Done {
-                        conn: job.conn,
-                        seq: job.seq,
-                        rendered,
-                    });
-                }
-            });
-        }
-
+    pool.scope(|scope| {
+        let completions = &completions;
+        // Requests dispatched to the pool and not yet collected.
+        let mut in_pool = 0usize;
         let mut conns: BTreeMap<u64, Conn> = BTreeMap::new();
         let mut next_conn_id = 0u64;
         let mut in_flight = 0usize;
@@ -279,6 +266,7 @@ pub fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
             for done in batch {
                 progress = true;
                 in_flight -= 1;
+                in_pool -= 1;
                 // The connection may be gone (torn down after a shutdown
                 // ack or an I/O error); the budget slot is freed anyway.
                 if let Some(conn) = conns.get_mut(&done.conn) {
@@ -410,7 +398,11 @@ pub fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
                         let Some(conn) = conns.get_mut(&id) else {
                             continue;
                         };
-                        let Some((seq, line)) = conn.pending.pop_front() else {
+                        if in_pool >= depth {
+                            queue_full = true;
+                            break;
+                        }
+                        let Some((seq, line, admitted_at)) = conn.pending.pop_front() else {
                             continue;
                         };
                         // Dispatch seam: an armed panic costs this one
@@ -432,21 +424,19 @@ pub fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
                             progress = true;
                             continue;
                         }
-                        match jobs.try_push(Job {
-                            conn: id,
-                            seq,
-                            line,
-                        }) {
-                            Ok(()) => {
-                                dispatched = true;
-                                progress = true;
-                            }
-                            Err(TryPushError::Full(job)) | Err(TryPushError::Closed(job)) => {
-                                conn.pending.push_front((job.seq, job.line));
-                                queue_full = true;
-                                break;
-                            }
-                        }
+                        scope.spawn(move || {
+                            // render_line contains panics from every layer
+                            // below it.
+                            let rendered = render_line(engine, &line, Some(admitted_at));
+                            completions.push(Done {
+                                conn: id,
+                                seq,
+                                rendered,
+                            });
+                        });
+                        in_pool += 1;
+                        dispatched = true;
+                        progress = true;
                     }
                     if !dispatched || queue_full {
                         break;
@@ -603,17 +593,22 @@ pub fn serve_tcp_reactor<F: FnOnce(SocketAddr)>(
             if draining && conns.is_empty() && in_flight == 0 {
                 break;
             }
-            if !progress {
-                let guard = completions.lock();
-                if guard.is_empty() {
-                    let _ = completions
-                        .wake
-                        .wait_timeout(guard, IDLE_WAIT)
-                        .unwrap_or_else(PoisonError::into_inner);
+            if !progress && completions.lock().is_empty() {
+                // Park on what the next tick could act on: readable
+                // connections, unflushed writes and the listener.  A
+                // completion pushed after the check above still ends the
+                // wait, through the notify socket.
+                park.clear();
+                if !draining && accept_after.is_none() {
+                    park.watch(&listener, true, false);
                 }
+                for conn in conns.values() {
+                    let reading = !conn.reads_closed && conn.unflushed() < WRITE_HIGH_WATER;
+                    park.watch(&conn.stream, reading, conn.unflushed() > 0);
+                }
+                park.wait(IDLE_WAIT);
             }
         }
-        jobs.close();
     });
 
     persist_engine(engine, options);
@@ -663,5 +658,5 @@ fn admit(
     }
     *in_flight += 1;
     conn.outstanding += 1;
-    conn.pending.push_back((seq, line));
+    conn.pending.push_back((seq, line, engine.request_count()));
 }

@@ -119,6 +119,10 @@ pub enum Response {
         /// Per-reason robustness counters (timeouts, contained panics,
         /// shed load, …).
         counters: EngineCounters,
+        /// The engine's request count when the TCP reactor admitted this
+        /// request (`None` on other transports, and then not rendered):
+        /// `requests - admitted_at - 1` requests started while it waited.
+        admitted_at: Option<u64>,
     },
     /// Answer to a `session_open` request.
     SessionOpen {
@@ -335,11 +339,15 @@ impl Response {
                 stats,
                 requests,
                 counters,
+                admitted_at,
                 ..
             } => {
                 members.push(("stats".into(), stats_json(stats)));
                 members.push(("requests".into(), Json::num(*requests as i64)));
                 members.push(("counters".into(), counters_json(counters)));
+                if let Some(at) = admitted_at {
+                    members.push(("admitted_at".into(), Json::num(*at as i64)));
+                }
             }
             Response::SessionOpen {
                 session,

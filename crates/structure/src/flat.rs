@@ -127,7 +127,7 @@ pub(crate) struct FlatStructure {
     canon: OnceLock<Vec<u8>>,
     /// True isomorphism-invariant canonical key ([`crate::canon`]), built on
     /// first use: two structures have equal keys iff they are isomorphic.
-    canon_key: OnceLock<CanonKey>,
+    canon_key: OnceLock<Arc<CanonKey>>,
     /// Memoized candidate lists for homomorphism search *into* this
     /// structure: occurrence mask (in this structure's slot space) → the
     /// elements whose mask is a superset.  Shared across every search plan
@@ -283,7 +283,38 @@ impl FlatStructure {
     /// The isomorphism-invariant canonical key (computed once, on first use;
     /// see [`crate::canon`] for the labeling algorithm).
     pub(crate) fn canon_key(&self) -> &CanonKey {
-        self.canon_key.get_or_init(|| canonical_key(self))
+        self.canon_key_handle()
+    }
+
+    /// [`FlatStructure::canon_key`] as a shared handle, which outlives this
+    /// flat form without pinning it.
+    pub(crate) fn canon_key_handle(&self) -> &Arc<CanonKey> {
+        self.canon_key.get_or_init(|| Arc::new(canonical_key(self)))
+    }
+
+    /// Approximate heap bytes of this flat form: its index arrays and the
+    /// canonical encodings built so far.  The candidate memo is governed
+    /// (and counted) by its own cache family, so it is left out.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        fn vec<T>(v: &Vec<T>) -> usize {
+            std::mem::size_of::<T>() * v.capacity()
+        }
+        fn nested<T>(v: &Vec<Vec<T>>) -> usize {
+            vec(v) + v.iter().map(vec).sum::<usize>()
+        }
+        std::mem::size_of::<FlatStructure>()
+            + vec(&self.dom)
+            + vec(&self.arities)
+            + nested(&self.rows)
+            + vec(&self.nullary_present)
+            + vec(&self.occ)
+            + nested(&self.row_starts)
+            + vec(&self.pair_bits)
+            + self.pair_bits.iter().flatten().map(vec).sum::<usize>()
+            + nested(&self.rev_starts)
+            + nested(&self.rev_firsts)
+            + self.canon.get().map_or(0, vec)
+            + self.canon_key.get().map_or(0, |k| k.bytes.len() + 32)
     }
 
     /// Number of tuples of relation `rel`.

@@ -946,8 +946,11 @@ fn active_caches() -> std::sync::Arc<SharedCaches> {
 /// [`hom_count_cached`] call inside `f` (including the symbolic-evaluation
 /// machinery of [`crate::StructureExpr`]) reads and fills the shared handle
 /// instead of the thread default.  Restores the previous handle on exit,
-/// including on panic.  The override is per-thread; a scoped fan-out inside
-/// `f` must re-install on its worker threads.
+/// including on panic.  The override is per-thread and does not follow the
+/// items of a `cqdet_parallel::par_map` inside `f` onto pool workers: work
+/// that counts homomorphisms must install it on the thread that runs it
+/// (each batch task does), and the fanned-out stages of the decision
+/// pipeline never read it.
 pub fn with_shared_caches<R>(caches: &std::sync::Arc<SharedCaches>, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<std::sync::Arc<SharedCaches>>);
     impl Drop for Restore {

@@ -11,6 +11,7 @@
 //! pairwise `injective_hom_exists` searches, which made basis construction
 //! quadratic in the number of components with a search per pair).
 
+use crate::canon::CanonKey;
 use crate::flat::FlatStructure;
 use crate::structure::Structure;
 use std::collections::{HashMap, HashSet};
@@ -20,19 +21,21 @@ use std::sync::Arc;
 /// equal **iff** the underlying structures are isomorphic.  Obtained from
 /// [`Structure::iso_class_key`]; constructing one forces the canonical key
 /// ([`crate::canon`]) so that hashing and comparison are lookup-cheap and a
-/// fan-out of constructions over scoped threads parallelizes canonization.
+/// fan-out of constructions over pool workers parallelizes canonization.
 ///
 /// Callers use this to *intern* structures by isomorphism class — e.g. the
 /// decision procedure computes each isomorphism-invariant per-view stage
 /// (retention gate, component decomposition, multiplicity vector) once per
 /// class instead of once per view.
+///
+/// The token holds only the canonical key, not the structure it came from,
+/// so caches keyed by classes do not keep structures alive.
 #[derive(Clone)]
-pub struct IsoClassKey(Arc<FlatStructure>);
+pub struct IsoClassKey(Arc<CanonKey>);
 
 impl IsoClassKey {
-    pub(crate) fn new(flat: Arc<FlatStructure>) -> Self {
-        flat.canon_key();
-        IsoClassKey(flat)
+    pub(crate) fn new(flat: &FlatStructure) -> Self {
+        IsoClassKey(Arc::clone(flat.canon_key_handle()))
     }
 
     /// The isomorphism-invariant canonical byte string of this class: equal
@@ -40,13 +43,13 @@ impl IsoClassKey {
     /// identity the warm-start snapshot persists class ids and gate
     /// verdicts under.
     pub fn canon_bytes(&self) -> &[u8] {
-        &self.0.canon_key().bytes
+        &self.0.bytes
     }
 }
 
 impl PartialEq for IsoClassKey {
     fn eq(&self, other: &Self) -> bool {
-        self.0.canon_key() == other.0.canon_key()
+        self.0 == other.0
     }
 }
 
@@ -54,13 +57,13 @@ impl Eq for IsoClassKey {}
 
 impl std::hash::Hash for IsoClassKey {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        state.write_u64(self.0.canon_key().hash);
+        state.write_u64(self.0.hash);
     }
 }
 
 impl std::fmt::Debug for IsoClassKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "IsoClassKey({:016x})", self.0.canon_key().hash)
+        write!(f, "IsoClassKey({:016x})", self.0.hash)
     }
 }
 
@@ -70,7 +73,7 @@ impl Structure {
     /// underlying canonical key is computed at most once per structure and
     /// cached on its compiled flat form, which clones of the structure share.
     pub fn iso_class_key(&self) -> IsoClassKey {
-        IsoClassKey::new(self.flat().clone())
+        IsoClassKey::new(self.flat())
     }
 }
 
@@ -110,10 +113,6 @@ pub fn isomorphic(a: &Structure, b: &Structure) -> bool {
 /// on its flat form) and a structure is kept iff its [`IsoClassKey`] was not
 /// seen before.
 pub fn dedup_up_to_iso(structures: Vec<Structure>) -> Vec<Structure> {
-    // See `IsoClassKey` for why the interior-mutability lint is moot: the
-    // key's hash/equality read the `OnceLock`-cached canonical key, forced
-    // at construction and immutable afterwards.
-    #[allow(clippy::mutable_key_type)]
     let mut seen: HashSet<IsoClassKey> = HashSet::new();
     structures
         .into_iter()
@@ -129,7 +128,6 @@ pub fn dedup_up_to_iso_refs<'a, I>(structures: I) -> Vec<&'a Structure>
 where
     I: IntoIterator<Item = &'a Structure>,
 {
-    #[allow(clippy::mutable_key_type)]
     let mut seen: HashSet<IsoClassKey> = HashSet::new();
     structures
         .into_iter()
@@ -226,6 +224,16 @@ mod tests {
         assert!(isomorphic(&edge(0, 1), &edge(10, 20)));
         assert!(isomorphic(&edge(0, 0), &edge(5, 5)));
         assert!(!isomorphic(&edge(0, 1), &edge(5, 5)), "loop vs non-loop");
+    }
+
+    #[test]
+    fn a_class_key_does_not_keep_its_structure_alive() {
+        let s = edge(0, 1);
+        let flat = Arc::downgrade(s.flat());
+        let key = s.iso_class_key();
+        drop(s);
+        assert!(flat.upgrade().is_none(), "the key pinned the flat form");
+        assert_eq!(key, edge(7, 9).iso_class_key());
     }
 
     #[test]

@@ -154,6 +154,26 @@ impl Structure {
             .get_or_init(|| Arc::new(FlatStructure::compile(self)))
     }
 
+    /// Approximate heap bytes this structure keeps alive: its fact and
+    /// domain sets (a B-tree slot with slack per element, plus each tuple's
+    /// own allocation) and its compiled flat form, if built.  What a cache
+    /// holding the structure should be charged.
+    pub fn heap_bytes(&self) -> usize {
+        const SLOT: usize = 2 * std::mem::size_of::<Vec<Const>>();
+        const ALLOC: usize = 16;
+        let tuples: usize = self
+            .tuples
+            .iter()
+            .flatten()
+            .map(|t| SLOT + ALLOC + t.capacity() * std::mem::size_of::<Const>())
+            .sum();
+        let consts = (self.active.len() + self.isolated.len()) * 2 * std::mem::size_of::<Const>();
+        self.tuples.capacity() * std::mem::size_of::<BTreeSet<Vec<Const>>>()
+            + tuples
+            + consts
+            + self.flat.get().map_or(0, |f| f.heap_bytes())
+    }
+
     /// Add a fact; panics if the relation is unknown or the arity is wrong.
     // The panic is this constructor's documented contract for malformed
     // input; schema-checked callers (the parser) validate first.

@@ -83,10 +83,10 @@ use std::time::Instant;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("decide") => cmd_decide(&args[1..]),
-        Some("batch") => cmd_batch(&args[1..]),
-        Some("explain") => cmd_explain(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
+        Some("decide") => in_pool(|| cmd_decide(&args[1..])),
+        Some("batch") => in_pool(|| cmd_batch(&args[1..])),
+        Some("explain") => in_pool(|| cmd_explain(&args[1..])),
+        Some("bench") => in_pool(|| cmd_bench(&args[1..])),
         Some("path") => cmd_path(&args[1..]),
         Some("hilbert") => cmd_hilbert(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
@@ -104,6 +104,13 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// Run a command with the process's one worker pool installed, so that its
+/// fan-outs (batch tasks, per-view pipeline stages) have idle workers to
+/// help; the main thread works alongside them, one per core in all.
+fn in_pool<R>(f: impl FnOnce() -> R) -> R {
+    cqdet::parallel::Pool::new(cqdet::parallel::max_parallelism() - 1).install(f)
 }
 
 fn print_usage() {
@@ -693,10 +700,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             if let Some(path) = &flags.snapshot {
                 let _ = engine.warm_start(std::path::Path::new(path));
             }
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            let served = serve_lines(&engine, stdin.lock(), stdout.lock())
-                .map_err(|e| format!("serve I/O error: {e}"))?;
+            let served =
+                in_pool(|| serve_lines(&engine, std::io::stdin().lock(), std::io::stdout().lock()))
+                    .map_err(|e| format!("serve I/O error: {e}"))?;
             if let Some(path) = &flags.snapshot {
                 let _ = engine.save_snapshot_quiet(std::path::Path::new(path));
             }

@@ -23,8 +23,9 @@
 //! * [`service`] — the unified typed request/response API: `Engine::submit`
 //!   over every workload family, the typed error hierarchy, per-request
 //!   deadlines, and the `cqdet serve` JSON-lines server,
-//! * [`parallel`] — scoped-thread fan-out and the [`prelude::CancelToken`]
-//!   deadline/cancellation primitive,
+//! * [`parallel`] — the process's one worker pool with its `par_map`
+//!   fan-out, and the [`prelude::CancelToken`] deadline/cancellation
+//!   primitive,
 //! * [`hilbert`] — the Theorem 2 reduction from Hilbert's Tenth Problem
 //!   (undecidability for boolean UCQs).
 //!

@@ -403,7 +403,7 @@ fn stdio_transport_smoke() {
 // away from (tiny admission budgets, a single worker) and read the
 // engine's counters directly.
 
-use cqdet::service::{serve_tcp, serve_tcp_threaded, Engine, ServeOptions};
+use cqdet::service::{serve_tcp, Engine, ServeOptions};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -459,10 +459,11 @@ fn decide_line(id: &str) -> String {
 }
 
 /// Fairness regression: one connection pipelines 1000 requests; a second
-/// connection sends single requests.  Round-robin dispatch must answer the
-/// single-request client after a *bounded* number of pipeliner responses —
-/// not after the whole pipeline (starvation), which is what a FIFO over
-/// all connections would do.
+/// connection sends single requests.  Round-robin dispatch must start the
+/// single-request client's request after a *bounded* number of requests
+/// counted from its admission — not after the whole pipeline admitted
+/// ahead of it (starvation), which is what a FIFO over all connections
+/// would do.
 #[test]
 fn pipelining_client_cannot_starve_single_requests() {
     let server = InProc::start(ServeOptions {
@@ -506,38 +507,44 @@ fn pipelining_client_cannot_starve_single_requests() {
         });
 
         // The single-request client: wait until the pipeline is fully
-        // submitted, then measure how many pipeliner responses pass the
-        // wire between each probe's send and its answer.
+        // submitted, then send three probes, each measuring how many
+        // requests started between its admission and its own start.
         while !a_written.load(Ordering::SeqCst) {
             std::thread::yield_now();
         }
         let mut probe = server.connect();
         for round in 0..3 {
-            if a_read.load(Ordering::SeqCst) >= 500 {
-                // Pipeline mostly drained: a probe now could not be
-                // starved hard enough to distinguish FIFO from RR.
-                break;
-            }
             let response = roundtrip(
                 &mut probe,
                 &format!(r#"{{"id":"p{round}","type":"stats"}}"#),
             );
             assert_eq!(response.get("type").unwrap().as_str(), Some("stats"));
-            // `requests` is the engine's processed count when this probe
-            // ran — its exact dispatch position, immune to client-side
-            // read lag.  FIFO dispatch would park the probe behind the
-            // whole pipeline (position ≥ 1001); round-robin admits it
-            // within a shallow job queue of its arrival.  900 leaves vast
-            // room for scheduling noise while still refuting FIFO.
-            let position = response
+            // `requests` is the engine's request count when this probe
+            // started and `admitted_at` the count when the reactor admitted
+            // it, so their difference is how many requests started while
+            // the probe waited: its dispatch position behind its own
+            // admission, independent of when the client got to send it.
+            // FIFO dispatch would park the probe behind every pipeliner
+            // request admitted before it and not yet started (the burst is
+            // admitted within a tick of arriving, ~1000 deep); round-robin
+            // starts it within the dispatch depth of its admission.  900
+            // leaves vast room for scheduling noise while still refuting
+            // FIFO.
+            let started = response
                 .get("requests")
                 .unwrap()
-                .as_f64()
+                .as_u64()
                 .expect("stats carries the request count");
+            let admitted = response
+                .get("admitted_at")
+                .and_then(Json::as_u64)
+                .expect("a reactor-served stats response carries admitted_at");
+            let position = started - admitted;
             assert!(
-                position <= 900.0,
-                "probe {round} starved: dispatched at engine position {position} \
-                 (round-robin bound is the job queue, not the pipeline)"
+                position <= 900,
+                "probe {round} starved: {position} requests started between its admission \
+                 (engine count {admitted}) and its own start (round-robin bound is the \
+                 dispatch depth, not the pipeline)"
             );
         }
         assert!(
@@ -676,29 +683,4 @@ fn idle_sessions_are_reaped_by_ttl_and_counted() {
     );
     drop(stream);
     server.stop();
-}
-
-/// The retained thread-per-connection twin still speaks the protocol —
-/// it is the §SOAK baseline and the `CQDET_THREADED_SERVE=1` escape hatch.
-#[test]
-fn threaded_twin_still_serves() {
-    let engine = Arc::new(Engine::new());
-    let server_engine = Arc::clone(&engine);
-    let (tx, rx) = mpsc::channel();
-    let handle = std::thread::spawn(move || {
-        let options = ServeOptions::default();
-        serve_tcp_threaded(&server_engine, "127.0.0.1:0", &options, move |addr| {
-            let _ = tx.send(addr);
-        })
-    });
-    let addr = rx.recv_timeout(Duration::from_secs(10)).expect("ready");
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    let response = roundtrip(&mut stream, &decide_line("t1"));
-    assert_eq!(response.get("type").unwrap().as_str(), Some("decide"));
-    let ack = roundtrip(&mut stream, r#"{"id":"bye","type":"shutdown"}"#);
-    assert_eq!(ack.get("type").unwrap().as_str(), Some("shutdown"));
-    assert_eq!(handle.join().expect("thread").expect("serve"), 2);
 }
