@@ -2,8 +2,8 @@
 //! Main Lemma — span-membership tests and matrix inversion over ℚ as the
 //! dimension k (the number of basis components) grows.
 
-use cqdet_bench::{span_workload, span_workload_seed, LINALG_SPAN_SHAPES, SPAN_DIMENSIONS};
-use cqdet_linalg::{span_coefficients, span_contains, QMat, QVec, Rat};
+use cqdet_bench::{linalg_workload, linalg_workload_seed, LINALG_SHAPES, SPAN_DIMENSIONS};
+use cqdet_linalg::{span_contains, QMat, QVec, Rat};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
@@ -63,28 +63,16 @@ fn bench_inverse(c: &mut Criterion) {
     group.finish();
 }
 
-/// The modular-prescreened span/rank kernels on tall bignum systems (the
-/// LINALG experiment; the JSON-tracked twin lives in the `cqdet-bench`
-/// harness).  `CQDET_EXACT_LINALG=1` turns both into the pure-Rat baseline.
-fn bench_big_entry_span(c: &mut Criterion) {
-    let mut group = c.benchmark_group("linalg/span-bignum");
+/// `QMat::rank` on tall bignum matrices (the LINALG experiment; the
+/// JSON-tracked twin lives in the `cqdet-bench` harness).
+fn bench_big_entry_rank(c: &mut Criterion) {
+    let mut group = c.benchmark_group("linalg/rank-bignum");
     group
         .sample_size(10)
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_secs(1));
-    for &(k, n, bits) in LINALG_SPAN_SHAPES {
-        let (generators, inside, outside) = span_workload(k, n, bits, span_workload_seed(bits));
-        group.bench_with_input(
-            BenchmarkId::new("in-span", format!("{k}x{n}-{bits}bit")),
-            &(generators.clone(), inside),
-            |b, (vs, t)| b.iter(|| span_coefficients(vs, t).is_some()),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("out-of-span", format!("{k}x{n}-{bits}bit")),
-            &(generators.clone(), outside),
-            |b, (vs, t)| b.iter(|| span_coefficients(vs, t).is_some()),
-        );
-        let m = QMat::from_cols(&generators);
+    for &(k, n, bits) in LINALG_SHAPES {
+        let m = QMat::from_cols(&linalg_workload(k, n, bits, linalg_workload_seed(bits)));
         group.bench_with_input(
             BenchmarkId::new("rank", format!("{k}x{n}-{bits}bit")),
             &m,
@@ -94,5 +82,5 @@ fn bench_big_entry_span(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_span, bench_inverse, bench_big_entry_span);
+criterion_group!(benches, bench_span, bench_inverse, bench_big_entry_rank);
 criterion_main!(benches);

@@ -3,7 +3,7 @@
 
 use cqdet_bench::decide_workload;
 use cqdet_core::decide_bag_determinacy;
-use cqdet_linalg::{span_coefficients, span_contains, QVec, Rat};
+use cqdet_linalg::{span_coefficients, QVec, Rat};
 use cqdet_query::cq::common_schema;
 use cqdet_query::ConjunctiveQuery;
 use cqdet_structure::{connected_components, dedup_up_to_iso, hom_exists, multiplicities};
@@ -63,9 +63,6 @@ fn main() {
         .map(|v| to_qvec(v.as_ref().unwrap()))
         .collect();
     let (view_vecs, q_vec) = (&qvecs[..qvecs.len() - 1], &qvecs[qvecs.len() - 1]);
-    let t = Instant::now();
-    let inside = span_contains(view_vecs, q_vec);
-    println!("span_contains   {:>10.2?} ({inside})", t.elapsed());
     let t = Instant::now();
     let coeffs = span_coefficients(view_vecs, q_vec);
     println!(

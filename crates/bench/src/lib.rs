@@ -514,16 +514,16 @@ pub fn soak_workload(connections: usize, total_requests: usize, window: usize) -
     }
 }
 
-/// The parameter grid for the modular-linear-algebra experiment (LINALG):
-/// `(dimension k, generators n, entry bits)`.  Tall systems (`k ≫ n`) with
+/// The parameter grid for the rank experiment (LINALG):
+/// `(dimension k, generators n, entry bits)`.  Tall matrices (`k ≫ n`) with
 /// bignum entries are the hom-count regime of Definitions 27/29 at scale;
 /// the 64-bit shape is the word-size control.
-pub const LINALG_SPAN_SHAPES: &[(usize, usize, usize)] = &[(24, 8, 64), (48, 12, 256)];
+pub const LINALG_SHAPES: &[(usize, usize, usize)] = &[(24, 8, 64), (48, 12, 256)];
 
-/// The canonical seed for a [`span_workload`] shape — shared by the JSON
+/// The canonical seed for a [`linalg_workload`] shape — shared by the JSON
 /// harness, the criterion bench and the oracle test so they always measure
 /// and validate the same data.
-pub const fn span_workload_seed(bits: usize) -> u64 {
+pub const fn linalg_workload_seed(bits: usize) -> u64 {
     0x11A6 + bits as u64
 }
 
@@ -546,15 +546,11 @@ fn big_nat(state: &mut u64, bits: usize) -> Nat {
     n.shr_bits(excess) + Nat::one().shl_bits(bits - 1)
 }
 
-/// A deterministic span workload for the LINALG experiment: `n` generator
+/// A deterministic rank workload for the LINALG experiment: `n` column
 /// vectors in ℚ^k whose entries are (signed) `bits`-bit integers —
-/// hom-count-scale numbers — plus an **in-span** target planted as a small
-/// integer combination of the generators (the shape the modular tier lifts
-/// with single-prime reconstruction) and an **out-of-span** probe (a
-/// perturbed copy; rejected by the full-column-rank mod-p certificate
-/// without any bignum work).
-pub fn span_workload(k: usize, n: usize, bits: usize, seed: u64) -> (Vec<QVec>, QVec, QVec) {
-    assert!(n < k, "the workload wants a tall system (n < k)");
+/// hom-count-scale numbers.
+pub fn linalg_workload(k: usize, n: usize, bits: usize, seed: u64) -> Vec<QVec> {
+    assert!(n < k, "the workload wants a tall matrix (n < k)");
     let mut state = seed;
     let signed_entry = |state: &mut u64| {
         let nat = big_nat(state, bits);
@@ -562,18 +558,9 @@ pub fn span_workload(k: usize, n: usize, bits: usize, seed: u64) -> (Vec<QVec>, 
         let int = Int::from_nat(nat);
         Rat::from_int(if negative { int.neg_ref() } else { int })
     };
-    let generators: Vec<QVec> = (0..n)
+    (0..n)
         .map(|_| QVec((0..k).map(|_| signed_entry(&mut state)).collect()))
-        .collect();
-    // Small planted coefficients in [-4, 4] \ {0}.
-    let mut in_span = QVec::zeros(k);
-    for (j, g) in generators.iter().enumerate() {
-        let c = Rat::from_i64((seed as i64 % 4 + j as i64) % 4 + 1);
-        in_span = &in_span + &g.scale(&c);
-    }
-    let mut outside = in_span.clone();
-    outside[0] = outside[0].add_ref(&Rat::one());
-    (generators, in_span, outside)
+        .collect()
 }
 
 /// A deterministic path-determinacy workload.
@@ -725,35 +712,25 @@ mod tests {
     }
 
     #[test]
-    fn span_workload_is_deterministic_and_oracle_checked() {
-        for &(k, n, bits) in LINALG_SPAN_SHAPES {
-            let (gens, inside, outside) = span_workload(k, n, bits, span_workload_seed(bits));
-            let (gens2, inside2, _) = span_workload(k, n, bits, span_workload_seed(bits));
-            assert_eq!(gens, gens2);
-            assert_eq!(inside, inside2);
+    fn linalg_workload_is_deterministic_and_rank_checked() {
+        for &(k, n, bits) in LINALG_SHAPES {
+            let gens = linalg_workload(k, n, bits, linalg_workload_seed(bits));
+            assert_eq!(
+                gens,
+                linalg_workload(k, n, bits, linalg_workload_seed(bits))
+            );
             assert!(gens.iter().all(|g| g.dim() == k) && gens.len() == n);
             // Entries really are `bits`-bit numbers.
             assert!(gens
                 .iter()
                 .all(|g| g.iter().all(|e| e.numer().magnitude().bit_len() == bits)));
-            // The tiered solver answers both probes (every non-fallback
-            // answer is exactly verified internally), and the in-span
-            // certificate reconstructs the target.
-            let alpha = cqdet_linalg::span_coefficients(&gens, &inside)
-                .expect("planted combination is in the span");
-            let mut acc = QVec::zeros(k);
-            for (a, g) in alpha.iter().zip(&gens) {
-                acc = &acc + &g.scale(a);
-            }
-            assert_eq!(acc, inside);
-            assert!(cqdet_linalg::span_coefficients(&gens, &outside).is_none());
-            // The pure-Rat oracle cross-check runs on the word-size shape
-            // only: on the 256-bit shape a debug-build exact elimination
-            // takes tens of seconds, which is exactly the point of the
-            // modular tier.
+            // Random columns are independent; the exact `rref` cross-check
+            // runs on the word-size shape only (on the 256-bit shape a
+            // debug-build exact elimination takes tens of seconds).
+            let m = cqdet_linalg::QMat::from_cols(&gens);
+            assert_eq!(m.rank(), n);
             if bits <= 64 {
-                assert!(cqdet_linalg::span_coefficients_exact(&gens, &inside).is_some());
-                assert!(cqdet_linalg::span_coefficients_exact(&gens, &outside).is_none());
+                assert_eq!(m.rref().1, n);
             }
         }
     }

@@ -17,20 +17,17 @@
 //!
 //! Every hom measurement runs on both homomorphism engines in the same
 //! process: the interned flat-index engine (`hom_count`) and the retained
-//! naive `BTreeMap` reference engine (`hom::reference::hom_count`).  The
-//! `decide` workload uses whatever engine the process-wide `CQDET_NAIVE_HOM`
-//! flag selects, so run the harness twice (with and without
-//! `CQDET_NAIVE_HOM=1`) to compare full-pipeline numbers.
+//! naive `BTreeMap` reference engine (`hom::reference::hom_count`).
 
 use cqdet_bench::{
     batch_workload, decide_workload, dedup_components_workload, hom_source, hom_target,
-    serve_request_line, serve_workload, soak_workload, span_workload, span_workload_seed,
-    BATCH_SHARED_VIEWS, BATCH_TASK_COUNTS, DECIDE_MANY_VIEW_COUNTS, LINALG_SPAN_SHAPES,
+    linalg_workload, linalg_workload_seed, serve_request_line, serve_workload, soak_workload,
+    BATCH_SHARED_VIEWS, BATCH_TASK_COUNTS, DECIDE_MANY_VIEW_COUNTS, LINALG_SHAPES,
     SERVE_SHARED_VIEWS, SERVE_TASK_COUNTS, SOAK_CONNECTIONS, SOAK_PIPELINE_WINDOW, SOAK_REQUESTS,
 };
 use cqdet_core::decide_bag_determinacy;
 use cqdet_engine::{DecisionSession, SessionConfig};
-use cqdet_linalg::{span_coefficients, span_coefficients_exact, QMat};
+use cqdet_linalg::QMat;
 use cqdet_structure::{dedup_up_to_iso, hom};
 use std::io::Write as _;
 use std::time::Instant;
@@ -197,12 +194,7 @@ fn run() {
         label: bench_label(),
         families,
     };
-    let engine = if std::env::var("CQDET_NAIVE_HOM").as_deref() == Ok("1") {
-        "naive"
-    } else {
-        "flat"
-    };
-    println!("# cqdet-bench (decide pipeline engine: {engine})\n");
+    println!("# cqdet-bench\n");
 
     // HOM: the acceptance workload — domain 16, 40 facts — plus a sweep.
     // Both engines measured in-process: `hom/flat/...` is the interned
@@ -434,41 +426,21 @@ fn run() {
         ));
     }
 
-    // LINALG: the exact span/rank kernels on tall bignum systems — the
-    // regime where hom-count entries make dense rational elimination pay
-    // bignum gcd/mul per pivot step (§LINALG).  `span/*` runs the tiered
-    // solver (modular prescreen + exact verification; set
-    // CQDET_EXACT_LINALG=1 for the pure-Rat baseline); `rank/*` is the
-    // exact elimination with content normalization + smallest-pivot
-    // selection.
-    for &(k, n, bits) in LINALG_SPAN_SHAPES {
+    // LINALG: `QMat::rank` on tall bignum matrices — the regime where
+    // hom-count entries make dense rational elimination pay bignum gcd/mul
+    // per pivot step (§LINALG).  Rank is on the witness path
+    // (`is_nonsingular`); a full rank mod a word-size prime proves it
+    // without bignum elimination.
+    for &(k, n, bits) in LINALG_SHAPES {
         if !h.family_enabled("linalg") {
             break;
         }
-        let (gens, inside, outside) = span_workload(k, n, bits, span_workload_seed(bits));
-        // Sanity before publishing numbers: the tiered answers are exactly
-        // verified internally, and on the word-size shape the pure-Rat
-        // oracle cross-checks them (the 256-bit oracle run is what the
-        // CQDET_EXACT_LINALG=1 series measures).
-        assert!(
-            span_coefficients(&gens, &inside).is_some(),
-            "planted target must be in span ({k}x{n}/{bits})"
+        let m = QMat::from_cols(&linalg_workload(k, n, bits, linalg_workload_seed(bits)));
+        assert_eq!(
+            m.rank(),
+            n,
+            "random columns are independent ({k}x{n}/{bits})"
         );
-        assert!(
-            span_coefficients(&gens, &outside).is_none(),
-            "probe must be out of span ({k}x{n}/{bits})"
-        );
-        if bits <= 64 {
-            assert!(span_coefficients_exact(&gens, &inside).is_some());
-            assert!(span_coefficients_exact(&gens, &outside).is_none());
-        }
-        h.bench(&format!("linalg/span/in/{k}x{n}/{bits}bit"), || {
-            span_coefficients(&gens, &inside).is_some()
-        });
-        h.bench(&format!("linalg/span/out/{k}x{n}/{bits}bit"), || {
-            span_coefficients(&gens, &outside).is_some()
-        });
-        let m = QMat::from_cols(&gens);
         h.bench(&format!("linalg/rank/{k}x{n}/{bits}bit"), || m.rank());
     }
 

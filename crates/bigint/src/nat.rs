@@ -539,28 +539,6 @@ impl Nat {
         acc as u64
     }
 
-    /// [`Nat::mod_u64`] against two moduli in one limb walk: both
-    /// accumulators fold the same most-significant-first pass, so the limb
-    /// storage is traversed (and cache-faulted) once instead of twice.
-    ///
-    /// This feeds the interleaved dual-prime reduction of the modular
-    /// linear-algebra tier, which needs every matrix entry's residue for a
-    /// *pair* of solver primes.  Panics if either modulus is zero.
-    pub fn mod_pair_u64(&self, m: [u64; 2]) -> [u64; 2] {
-        assert!(m[0] != 0 && m[1] != 0, "modulus must be non-zero");
-        if let Repr::Inline(v) = self.repr {
-            return [v % m[0], v % m[1]];
-        }
-        let mut buf = [0u32; 2];
-        let limbs = self.limb_slice(&mut buf);
-        let (mut a0, mut a1): (u128, u128) = (0, 0);
-        for &limb in limbs.iter().rev() {
-            a0 = ((a0 << 32) | limb as u128) % m[0] as u128;
-            a1 = ((a1 << 32) | limb as u128) % m[1] as u128;
-        }
-        [a0 as u64, a1 as u64]
-    }
-
     /// Exponentiation by squaring. `0^0 = 1` (the paper's convention).
     pub fn pow(&self, mut exp: u64) -> Nat {
         let mut base = self.clone();
@@ -884,23 +862,6 @@ mod tests {
     fn checked_sub_none_on_underflow() {
         assert_eq!(n(3).checked_sub(&n(5)), None);
         assert_eq!(n(5).checked_sub(&n(3)), Some(n(2)));
-    }
-
-    #[test]
-    fn mod_pair_matches_mod_u64() {
-        let big = (n(u64::MAX) + n(1)).pow(3) + n(987_654_321);
-        let moduli = [(1u64 << 62) - 57, 1_000_003, 2, u64::MAX];
-        for v in [Nat::zero(), Nat::one(), n(u64::MAX), big] {
-            for &m0 in &moduli {
-                for &m1 in &moduli {
-                    assert_eq!(
-                        v.mod_pair_u64([m0, m1]),
-                        [v.mod_u64(m0), v.mod_u64(m1)],
-                        "mod_pair {m0} {m1}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Tier 2 of the exact linear-algebra stack: an **online echelon form**.
+//! The Lemma 31 span solver of the decide pipeline: an **online echelon form**.
 //!
 //! The batch regimes of the ROADMAP north star decide many span questions
 //! against the *same* generating set (Definition 29 vectors of a shared
@@ -19,9 +19,9 @@
 //!   the spanning prefix, and a session-cached basis re-eliminates
 //!   *nothing* for the second and later targets.
 //!
-//! Everything is exact `Rat` arithmetic — this tier needs no verification
-//! step, it *is* the exact computation; the modular tier
-//! ([`crate::modular`]) sits in front of the dense one-shot solves instead.
+//! Everything is exact `Rat` arithmetic — no verification step is needed,
+//! it *is* the exact computation; the dense one-shot elimination
+//! ([`crate::span_coefficients`]) is its differential-testing oracle.
 
 use crate::rat::Rat;
 use crate::vector::QVec;

@@ -15,26 +15,23 @@
 //! Everything here is exact: no floating point is used anywhere in the
 //! workspace, so the decision procedure can never be wrong due to rounding.
 //!
-//! # The three solver tiers
+//! # The solvers
 //!
-//! Exactness does not require *computing* over ℚ all the way:
-//!
-//! 1. **Modular prescreen** ([`modular`]): span / nonsingularity questions
-//!    are answered over `ℤ/p` for 2–3 word-size primes first (Montgomery
-//!    arithmetic, [`PrimeField`]), then lifted back by CRT + rational
-//!    reconstruction and re-verified in exact rational arithmetic — only
-//!    exactly verified certificates are returned, everything else falls
-//!    back to the exact tiers.  `CQDET_EXACT_LINALG=1` disables this tier.
-//! 2. **Incremental echelon** ([`IncrementalBasis`]): an online exact
-//!    elimination that inserts one generator at a time, carries
-//!    coefficient coordinates, early-exits once a target enters the span,
-//!    and is shared across the decision batches of `cqdet-core` /
-//!    `cqdet-engine` so fleets of tasks over one view pool never
-//!    re-eliminate shared columns.
-//! 3. **Exact elimination** ([`QMat`]): dense rational Gauss–Jordan with
-//!    smallest-bit-size pivot selection and row content normalization to
-//!    curb coefficient blowup; the mandatory fallback and the oracle the
-//!    other tiers are differentially tested against.
+//! * **Incremental echelon** ([`IncrementalBasis`]): an online exact
+//!   elimination that inserts one generator at a time, carries coefficient
+//!   coordinates and early-exits once a target enters the span.  It is the
+//!   one Lemma 31 span solver the decide pipeline runs, shared across the
+//!   decision batches of `cqdet-core` / `cqdet-engine` so fleets of tasks
+//!   over one view pool never re-eliminate shared columns.
+//! * **Dense exact elimination** ([`QMat`], [`span_coefficients`]):
+//!   rational Gauss–Jordan with smallest-bit-size pivot selection and row
+//!   content normalization to curb coefficient blowup; the oracle the
+//!   incremental solver is differentially tested against, and the engine
+//!   of the §6 witness constructions (null spaces, inverses, solves).
+//! * **Single-prime rank bound**: [`QMat::rank`] first eliminates over
+//!   `ℤ/p` for a word-size prime; a full mod-p rank proves the exact rank
+//!   (nonsingularity of Definition 38's evaluation matrices) in machine
+//!   words, anything less falls back to exact elimination.
 
 // The elimination kernels run inside budgeted server requests: failures
 // must surface as typed errors (or documented assertions), never stray
@@ -47,19 +44,14 @@
 mod cone;
 mod incremental;
 mod matrix;
-pub mod modular;
+mod modular;
 mod rat;
 mod vector;
 
 pub use cone::{cone_contains, cone_coordinates, interior_cone_point, perturb_along};
 pub use incremental::{CheckpointedBasis, IncrementalBasis, RemovalKind};
-pub use matrix::{
-    orthogonal_witness, span_coefficients, span_coefficients_exact, span_coefficients_exact_gas,
-    span_coefficients_gas, span_contains, QMat,
-};
-pub use modular::{
-    exact_linalg_forced, primes, span_solve, span_solve_gas, PrimeField, SpanOutcome,
-};
+pub use matrix::{orthogonal_witness, span_coefficients, span_contains, QMat};
+pub use modular::primes;
 
 pub use cqdet_parallel::{Budget, Exhausted, Gas, Interrupt};
 pub use rat::Rat;

@@ -1,7 +1,6 @@
 //! Dense matrices over ℚ, Gaussian elimination and the span / null-space
 //! machinery used by Lemma 31, Fact 5 and Lemma 46.
 
-use crate::modular::{span_solve_gas, SpanOutcome};
 use crate::rat::Rat;
 use crate::vector::{dot, QVec};
 use cqdet_bigint::{Int, Nat};
@@ -306,9 +305,8 @@ impl QMat {
     /// minors survive reduction), so when it reaches `min(rows, cols)` the
     /// exact rank is proved in machine words; only rank-deficient-mod-p
     /// matrices (possibly falsely so) pay the exact elimination.  Tiny
-    /// word-size matrices skip the prescreen (`modular::prescreen_pays`,
-    /// the policy shared with the span tier) — exact elimination is
-    /// already cheaper than the field setup there.
+    /// word-size matrices skip the prescreen (`modular::prescreen_pays`) —
+    /// exact elimination is already cheaper than the field setup there.
     pub fn rank(&self) -> usize {
         let full = self.rows.min(self.cols);
         if crate::modular::prescreen_pays(self.rows * self.cols, self.data.iter())
@@ -404,14 +402,6 @@ impl QMat {
 
     /// Solve `M·x⃗ = b⃗`; returns one solution if the system is consistent.
     pub fn solve(&self, b: &QVec) -> Option<QVec> {
-        match self.solve_gas(b, &mut Gas::unlimited()) {
-            Ok(x) => x,
-            Err(stop) => unreachable!("unlimited gas interrupted: {stop}"),
-        }
-    }
-
-    /// [`QMat::solve`] under fuel metering (see [`QMat::rref_gas`]).
-    pub fn solve_gas(&self, b: &QVec, gas: &mut Gas) -> Result<Option<QVec>, Interrupt> {
         assert_eq!(self.rows, b.dim(), "matrix/vector dimension mismatch");
         let mut aug = QMat::zeros(self.rows, self.cols + 1);
         for i in 0..self.rows {
@@ -420,16 +410,16 @@ impl QMat {
             }
             aug.set(i, self.cols, b[i].clone());
         }
-        let (r, _, pivots) = aug.rref_gas(gas)?;
+        let (r, _, pivots) = aug.rref();
         // Inconsistent if a pivot lands in the augmented column.
         if pivots.contains(&self.cols) {
-            return Ok(None);
+            return None;
         }
         let mut x = QVec::zeros(self.cols);
         for (row, &col) in pivots.iter().enumerate() {
             x[col] = r.get(row, self.cols).clone();
         }
-        Ok(Some(x))
+        Some(x)
     }
 
     /// A basis of the null space `{x⃗ : M·x⃗ = 0}`.
@@ -460,67 +450,20 @@ pub fn span_contains(vectors: &[QVec], target: &QVec) -> bool {
     if vectors.is_empty() {
         return false;
     }
-    // Solve the system  Σ αᵢ·vᵢ = target  i.e.  A·α = target with columns vᵢ
-    // (through the tiered solver — membership is certified either way).
+    // Solve the system  Σ αᵢ·vᵢ = target  i.e.  A·α = target with columns vᵢ.
     span_coefficients(vectors, target).is_some()
 }
 
 /// If `target ∈ span{vectors}`, return coefficients `α⃗` with
-/// `Σ αᵢ·vectorsᵢ = target`.
-///
-/// Tiered: the modular prescreen ([`crate::modular::span_solve`]) answers
-/// over `ℤ/p` in machine words first and lifts its answer back to an
-/// exactly verified rational certificate; only uncertifiable instances (bad
-/// primes, rank undercounts, reconstruction overflow — and everything when
-/// `CQDET_EXACT_LINALG=1` is set) fall back to
-/// [`span_coefficients_exact`].  Both paths return exact coefficients.
+/// `Σ αᵢ·vectorsᵢ = target`: one dense exact elimination of the system
+/// whose columns are `vectors`.  The decide pipeline answers the same
+/// question through [`crate::IncrementalBasis`]; this is the oracle its
+/// differential tests compare against.
 pub fn span_coefficients(vectors: &[QVec], target: &QVec) -> Option<QVec> {
-    match span_coefficients_gas(vectors, target, &mut Gas::unlimited()) {
-        Ok(alpha) => alpha,
-        Err(stop) => unreachable!("unlimited gas interrupted: {stop}"),
-    }
-}
-
-/// [`span_coefficients`] under fuel metering: both the modular prescreen
-/// (per mod-p row operation) and the exact fallback (per rational row
-/// operation, plus bit-size byte accounting) charge the [`Gas`] handle, so
-/// a budgeted request is interrupted inside whichever tier is running.
-pub fn span_coefficients_gas(
-    vectors: &[QVec],
-    target: &QVec,
-    gas: &mut Gas,
-) -> Result<Option<QVec>, Interrupt> {
-    match span_solve_gas(vectors, target, gas)? {
-        SpanOutcome::Solved(alpha) => Ok(Some(alpha)),
-        SpanOutcome::Rejected => Ok(None),
-        SpanOutcome::Fallback => span_coefficients_exact_gas(vectors, target, gas),
-    }
-}
-
-/// The pure-`Rat` span solve: one dense exact elimination, no modular
-/// prescreen.  This is the oracle the differential tests compare the tiered
-/// path against, and the mandatory fallback of [`span_coefficients`].
-pub fn span_coefficients_exact(vectors: &[QVec], target: &QVec) -> Option<QVec> {
-    match span_coefficients_exact_gas(vectors, target, &mut Gas::unlimited()) {
-        Ok(alpha) => alpha,
-        Err(stop) => unreachable!("unlimited gas interrupted: {stop}"),
-    }
-}
-
-/// [`span_coefficients_exact`] under fuel metering (see [`QMat::rref_gas`]).
-pub fn span_coefficients_exact_gas(
-    vectors: &[QVec],
-    target: &QVec,
-    gas: &mut Gas,
-) -> Result<Option<QVec>, Interrupt> {
     if vectors.is_empty() {
-        return Ok(if target.is_zero() {
-            Some(QVec::zeros(0))
-        } else {
-            None
-        });
+        return target.is_zero().then(|| QVec::zeros(0));
     }
-    QMat::from_cols(vectors).solve_gas(target, gas)
+    QMat::from_cols(vectors).solve(target)
 }
 
 /// Fact 5: given `u⃗₁, …, u⃗ₙ` and `u⃗` with `u⃗ ∉ span{u⃗ᵢ}`, there is a vector

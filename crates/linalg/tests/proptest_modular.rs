@@ -1,15 +1,12 @@
-//! Differential property tests for the tiered exact solver: the modular
-//! prescreen ([`span_solve`] / the tiered [`span_coefficients`]) and the
-//! incremental echelon form ([`IncrementalBasis`]) against the pure-`Rat`
-//! elimination oracle ([`span_coefficients_exact`] / `QMat::rank`) —
-//! including the adversarial regimes the modular tier must survive: a
-//! solver prime dividing a denominator (bad prime) and a whole system that
-//! vanishes mod a prime (rank undercount).
+//! Differential property tests for the exact solvers: the single-prime
+//! rank bound behind `QMat::rank` and the incremental echelon form
+//! ([`IncrementalBasis`]) against the dense `Rat` elimination oracle
+//! (`QMat::rref`, [`span_coefficients`]) — including the adversarial
+//! regimes the rank bound must survive: a solver prime dividing a
+//! denominator (bad prime) and a matrix that vanishes mod a prime (rank
+//! undercount).
 
-use cqdet_linalg::{
-    primes, span_coefficients, span_coefficients_exact, span_solve, IncrementalBasis, Int, Nat,
-    QMat, QVec, Rat, SpanOutcome,
-};
+use cqdet_linalg::{primes, span_coefficients, IncrementalBasis, Int, Nat, QMat, QVec, Rat};
 use proptest::prelude::*;
 
 /// A small rational from a (numerator, denominator-index) pair.
@@ -40,134 +37,99 @@ fn combine(vectors: &[QVec], alpha: &QVec) -> QVec {
     acc
 }
 
-/// The first solver prime as an exact rational.
+/// A solver prime as an exact rational.
 fn prime_rat(index: usize) -> Rat {
     Rat::from_int(Int::from_nat(Nat::from_u64(primes()[index])))
+}
+
+/// The rank-≤`r` matrix `2⁶⁴ · Σ_{t<r} u⃗ₜ·w⃗ₜᵀ` (`rows × cols`) over
+/// small integer factors, each factor entry flagged `true` divided by
+/// `divisor`: bad denominators then mix with good ones inside a row, and
+/// the rank is usually deficient.  The `2⁶⁴` scale (rank-invariant) puts
+/// the entries over the word-size threshold, so the rank bound, not the
+/// tiny-matrix short-circuit, answers first.
+fn low_rank(
+    u: &[(i64, bool)],
+    w: &[(i64, bool)],
+    (rows, cols, r): (usize, usize, usize),
+    divisor: &Rat,
+) -> QMat {
+    let factor = |&(n, poisoned): &(i64, bool)| {
+        let x = Rat::from_i64(n);
+        if poisoned {
+            x.div_ref(divisor)
+        } else {
+            x
+        }
+    };
+    let shift = Rat::from_int(Int::from_nat(Nat::one().shl_bits(64)));
+    let mut m = QMat::zeros(rows, cols);
+    for t in 0..r {
+        for i in 0..rows {
+            for j in 0..cols {
+                let term = factor(&u[t * rows + i]).mul_ref(&factor(&w[t * cols + j]));
+                m.set(i, j, m.get(i, j).add_ref(&term.mul_ref(&shift)));
+            }
+        }
+    }
+    m
+}
+
+/// Scale row `i` of `m` by `factor` wherever `mask` bit `i` is set.
+fn scale_rows(m: &QMat, factor: &Rat, mask: u8) -> QMat {
+    QMat::from_rows(
+        &(0..m.nrows())
+            .map(|i| {
+                if mask >> i & 1 == 1 {
+                    m.row(i).scale(factor)
+                } else {
+                    m.row(i)
+                }
+            })
+            .collect::<Vec<_>>(),
+    )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Membership and certificates agree with the exact oracle on random
-    /// small rational systems.  `scale_up` multiplies the whole system by
-    /// 2⁹⁶ (membership-invariant) to push it over the word-size threshold
-    /// so the modular path — not the tiny-system short-circuit — answers.
-    #[test]
-    fn tiered_span_matches_exact_oracle(
-        count in 1usize..5,
-        k in 1usize..5,
-        entries in prop::collection::vec((-8i64..9, 0u8..4), 25),
-        target_entries in prop::collection::vec((-8i64..9, 0u8..4), 5),
-        scale_up in 0u8..2,
-    ) {
-        let c = if scale_up == 1 {
-            Rat::from_int(Int::from_nat(Nat::one().shl_bits(96)))
-        } else {
-            Rat::from_i64(1)
-        };
-        let vectors: Vec<QVec> = vectors_of(&entries, count, k)
-            .into_iter()
-            .map(|v| v.scale(&c))
-            .collect();
-        let target = QVec((0..k).map(|i| rat(target_entries[i].0, target_entries[i].1)).collect())
-            .scale(&c);
-        let exact = span_coefficients_exact(&vectors, &target);
-        let tiered = span_coefficients(&vectors, &target);
-        prop_assert_eq!(exact.is_some(), tiered.is_some(), "membership must agree");
-        if let Some(alpha) = &tiered {
-            prop_assert_eq!(alpha.dim(), count);
-            prop_assert_eq!(combine(&vectors, alpha), target.clone(), "certificate must be exact");
-        }
-        // The raw outcome never lies either way.
-        match span_solve(&vectors, &target) {
-            SpanOutcome::Solved(alpha) => {
-                prop_assert!(exact.is_some());
-                prop_assert_eq!(combine(&vectors, &alpha), target);
-            }
-            SpanOutcome::Rejected => prop_assert!(exact.is_none()),
-            SpanOutcome::Fallback => {}
-        }
-    }
-
-    /// Targets planted as integer combinations are always found, with an
-    /// exactly reconstructing certificate.
-    #[test]
-    fn planted_combinations_are_found(
-        count in 1usize..5,
-        k in 1usize..5,
-        entries in prop::collection::vec((-7i64..8, 0u8..4), 25),
-        coeffs in prop::collection::vec(-6i64..7, 5),
-    ) {
-        // Scaled over the word-size threshold so the modular lift (not the
-        // tiny-system short-circuit) produces the certificate.
-        let c = Rat::from_int(Int::from_nat(Nat::one().shl_bits(96)));
-        let vectors: Vec<QVec> = vectors_of(&entries, count, k)
-            .into_iter()
-            .map(|v| v.scale(&c))
-            .collect();
-        let planted = QVec::from_i64s(&coeffs[..count]);
-        let target = combine(&vectors, &planted);
-        let alpha = span_coefficients(&vectors, &target)
-            .expect("a planted combination is in the span");
-        prop_assert_eq!(combine(&vectors, &alpha), target);
-    }
-
     /// Bad primes: denominators divisible by solver prime 1 (and sometimes
-    /// prime 2 as well) force the prescreen to skip primes or fall back —
-    /// never to answer wrong.
+    /// primes 2 and 3 as well) force the rank bound to skip primes or give
+    /// up — never to overcount.
     #[test]
     fn bad_primes_are_skipped_not_trusted(
-        count in 1usize..4,
-        k in 1usize..4,
-        entries in prop::collection::vec((-6i64..7, 0u8..4), 16),
-        target_entries in prop::collection::vec((-6i64..7, 0u8..4), 4),
-        poison_second in 0u8..2,
+        shape in (1usize..6, 1usize..6, 1usize..4),
+        u in prop::collection::vec((-4i64..5, any::<bool>()), 15),
+        w in prop::collection::vec((-4i64..5, any::<bool>()), 15),
+        poison_second in any::<bool>(),
+        poison_all in any::<bool>(),
     ) {
         let mut divisor = prime_rat(0);
-        if poison_second == 1 {
+        if poison_second {
             divisor = divisor.mul_ref(&prime_rat(1));
         }
-        // Scale the whole system by 1/p (or 1/(p₁p₂)): every non-zero entry's
-        // denominator becomes divisible by the solver prime(s).
-        let vectors: Vec<QVec> = vectors_of(&entries, count, k)
-            .into_iter()
-            .map(|v| v.scale(&divisor.recip()))
-            .collect();
-        let target = QVec((0..k).map(|i| rat(target_entries[i].0, target_entries[i].1)).collect())
-            .scale(&divisor.recip());
-        let exact = span_coefficients_exact(&vectors, &target);
-        let tiered = span_coefficients(&vectors, &target);
-        prop_assert_eq!(exact.is_some(), tiered.is_some());
-        if let Some(alpha) = tiered {
-            prop_assert_eq!(combine(&vectors, &alpha), target);
+        if poison_all {
+            divisor = divisor.mul_ref(&prime_rat(2));
         }
+        let m = low_rank(&u, &w, shape, &divisor);
+        let exact = m.rref().1;
+        prop_assert_eq!(m.rank(), exact);
+        prop_assert_eq!(m.is_nonsingular(), shape.0 == shape.1 && exact == shape.0);
     }
 
-    /// Rank undercount: every entry a multiple of solver prime 1, so the
-    /// system is identically zero mod p₁ and its mod-p rank profile is
-    /// empty; answers still match the oracle exactly.
+    /// Rank undercount: row 0 and the rows in `mask` are multiplied by p₁²,
+    /// so they vanish mod p₁ and its rank undercounts; `rank` still matches
+    /// the exact oracle.
     #[test]
     fn rank_undercount_cannot_corrupt(
-        count in 1usize..4,
-        k in 1usize..4,
-        entries in prop::collection::vec((-6i64..7, 0u8..4), 16),
-        target_entries in prop::collection::vec((-6i64..7, 0u8..4), 4),
+        shape in (1usize..6, 1usize..6, 1usize..4),
+        u in prop::collection::vec((-4i64..5, any::<bool>()), 15),
+        w in prop::collection::vec((-4i64..5, any::<bool>()), 15),
+        mask in 0u8..32,
     ) {
-        // p₁² keeps the system ≡ 0 (mod p₁) *and* over the word-size
-        // threshold, so the modular tier engages rather than short-circuits.
         let p = prime_rat(0).mul_ref(&prime_rat(0));
-        let vectors: Vec<QVec> = vectors_of(&entries, count, k)
-            .into_iter()
-            .map(|v| v.scale(&p))
-            .collect();
-        let target = QVec((0..k).map(|i| rat(target_entries[i].0, target_entries[i].1)).collect())
-            .scale(&p);
-        let exact = span_coefficients_exact(&vectors, &target);
-        let tiered = span_coefficients(&vectors, &target);
-        prop_assert_eq!(exact.is_some(), tiered.is_some());
-        if let Some(alpha) = tiered {
-            prop_assert_eq!(combine(&vectors, &alpha), target);
-        }
+        let m = scale_rows(&low_rank(&u, &w, shape, &Rat::from_i64(7)), &p, mask | 1);
+        prop_assert_eq!(m.rank(), m.rref().1);
     }
 
     /// The incremental echelon form agrees with the dense oracle: same
@@ -186,7 +148,7 @@ proptest! {
             basis.insert(v);
         }
         prop_assert_eq!(basis.rank(), QMat::from_cols(&vectors).rank(), "rank oracle");
-        let exact = span_coefficients_exact(&vectors, &target);
+        let exact = span_coefficients(&vectors, &target);
         let solved = basis.solve(&target);
         prop_assert_eq!(exact.is_some(), solved.is_some(), "membership oracle");
         if let Some(alpha) = solved {
@@ -204,7 +166,7 @@ proptest! {
             prop_assert_eq!(combine(&vectors, &QVec(padded)), target.clone());
             // Early exit: the prefix that was fed already spans the target.
             let prefix: Vec<QVec> = vectors[..lazy.len()].to_vec();
-            prop_assert!(span_coefficients_exact(&prefix, &target).is_some());
+            prop_assert!(span_coefficients(&prefix, &target).is_some());
         }
     }
 

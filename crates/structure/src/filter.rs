@@ -6,55 +6,19 @@
 //! lane matrix (`stride` words per element, see [`crate::flat`]), so the
 //! whole question is a strided sweep over `u64` lanes.
 //!
-//! Two interchangeable kernels answer it:
+//! [`superset_indices`] is the kernel every search uses.  The subset test is
+//! branch-free (`acc |= sub & !sup` folded over the stride, one compare per
+//! element) and the loop is specialised per stride (1, 2, 4 words inline,
+//! generic fallback), so the compiler unrolls and auto-vectorises the sweep
+//! over whole lane blocks.
 //!
-//! * [`lane_superset_indices`] — the default.  The subset test is branch-free
-//!   (`acc |= sub & !sup` folded over the stride, one compare per element)
-//!   and the loop is specialised per stride (1, 2, 4 words inline, generic
-//!   fallback), so the compiler unrolls and auto-vectorises the sweep over
-//!   whole lane blocks.
-//! * [`scalar_superset_indices`] — the original word-at-a-time,
-//!   short-circuiting filter, retained verbatim as the differential-testing
-//!   oracle and selectable at runtime with `CQDET_SCALAR_FILTER=1`.
-//!
-//! Differential property tests pin the two against each other on random lane
-//! matrices (see `tests/differential_filter.rs`); the fuel-parity suite
-//! additionally asserts that the choice of kernel never shows up in gas
-//! accounting (the filter runs at plan-build time, which is unmetered, and
-//! both kernels produce identical candidate lists — so identical searches).
+//! [`scalar_superset_indices`] is the original word-at-a-time,
+//! short-circuiting filter, retained verbatim as the differential-testing
+//! oracle: property tests pin the two against each other on random lane
+//! matrices (see `tests/differential_filter.rs`).
 //!
 //! The module is `#[doc(hidden)] pub` only so integration tests can drive
 //! the kernels directly; it is not part of the supported API surface.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
-
-/// Whether the `CQDET_SCALAR_FILTER=1` escape hatch is active (checked once).
-fn scalar_filter_env() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| {
-        std::env::var("CQDET_SCALAR_FILTER")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-    })
-}
-
-/// Process-wide programmatic override of the scalar hatch, for tests that
-/// must exercise both kernels inside one process (the env flag is latched on
-/// first use).  Tests using it run in their own integration-test binary so
-/// the global cannot race with unrelated tests.
-static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
-
-/// Force (or stop forcing) the scalar filter kernel, regardless of the
-/// `CQDET_SCALAR_FILTER` environment flag.  Test-only knob.
-pub fn force_scalar_filter(on: bool) {
-    FORCE_SCALAR.store(on, Ordering::SeqCst);
-}
-
-/// Whether the scalar oracle kernel is selected (env hatch or test override).
-pub fn scalar_filter_active() -> bool {
-    FORCE_SCALAR.load(Ordering::SeqCst) || scalar_filter_env()
-}
 
 /// Branch-free wordwise subset test: whether `sub ⊆ sup`.  Both masks must
 /// live in the same slot space (equal word counts); the OR-accumulate shape
@@ -70,18 +34,9 @@ pub fn mask_subset(sub: &[u64], sup: &[u64]) -> bool {
 }
 
 /// The indices `i < n` whose lane block `lanes[i*stride .. (i+1)*stride]` is
-/// a superset of `mask`, through whichever kernel is active.
+/// a superset of `mask`: branch-free subset tests over whole lane blocks,
+/// with the sweep specialised per stride so the inner fold is fully unrolled.
 pub fn superset_indices(mask: &[u64], lanes: &[u64], stride: usize, n: usize) -> Vec<u32> {
-    if scalar_filter_active() {
-        scalar_superset_indices(mask, lanes, stride, n)
-    } else {
-        lane_superset_indices(mask, lanes, stride, n)
-    }
-}
-
-/// Lane kernel: branch-free subset tests over whole lane blocks, with the
-/// sweep specialised per stride so the inner fold is fully unrolled.
-pub fn lane_superset_indices(mask: &[u64], lanes: &[u64], stride: usize, n: usize) -> Vec<u32> {
     debug_assert_eq!(mask.len(), stride);
     debug_assert!(lanes.len() >= n * stride);
     let mut out = Vec::new();
@@ -140,7 +95,7 @@ pub fn lane_superset_indices(mask: &[u64], lanes: &[u64], stride: usize, n: usiz
 
 /// Scalar oracle: the original short-circuiting word-at-a-time filter the
 /// engine shipped with before the lane rewrite, kept as the differential
-/// baseline (`CQDET_SCALAR_FILTER=1`).
+/// baseline of [`superset_indices`].
 pub fn scalar_superset_indices(mask: &[u64], lanes: &[u64], stride: usize, n: usize) -> Vec<u32> {
     debug_assert_eq!(mask.len(), stride);
     (0..n as u32)
@@ -161,7 +116,7 @@ mod tests {
         let lanes = [0b011u64, 0b000, 0b111, 0b101];
         for mask in [[0b000u64], [0b001], [0b110], [0b111]] {
             assert_eq!(
-                lane_superset_indices(&mask, &lanes, 1, 4),
+                superset_indices(&mask, &lanes, 1, 4),
                 scalar_superset_indices(&mask, &lanes, 1, 4),
                 "mask {mask:?}"
             );
@@ -171,19 +126,16 @@ mod tests {
             let mask: Vec<u64> = (0..stride as u64).map(|w| w | 1).collect();
             let block: Vec<u64> = mask.iter().map(|&w| w | 0b1000).collect();
             assert_eq!(
-                lane_superset_indices(&mask, &block, stride, 1),
+                superset_indices(&mask, &block, stride, 1),
                 vec![0],
                 "stride {stride}"
             );
             assert_eq!(
-                lane_superset_indices(&mask, &vec![0u64; stride], stride, 1),
+                superset_indices(&mask, &vec![0u64; stride], stride, 1),
                 Vec::<u32>::new(),
                 "stride {stride} zero block"
             );
-            assert_eq!(
-                lane_superset_indices(&mask, &[], stride, 0),
-                Vec::<u32>::new()
-            );
+            assert_eq!(superset_indices(&mask, &[], stride, 0), Vec::<u32>::new());
         }
     }
 

@@ -13,7 +13,7 @@
 //! filtering, and each source fact is checked exactly once per search path —
 //! at the moment its last argument is assigned.  The original `BTreeMap`
 //! engine is retained verbatim in [`reference`] as the differential-testing
-//! oracle and as an escape hatch (`CQDET_NAIVE_HOM=1`).
+//! oracle; tests call it directly.
 
 use crate::components::connected_components;
 use crate::filter;
@@ -24,7 +24,6 @@ use cqdet_cache::ShardedCache;
 use cqdet_parallel::{Gas, Interrupt};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::OnceLock;
 
 /// A homomorphism, represented as the assignment of source to target constants.
 pub type Homomorphism = BTreeMap<Const, Const>;
@@ -40,16 +39,6 @@ enum Mode {
     FindInjective,
     /// Collect all homomorphisms (used by query evaluation and tests).
     Collect,
-}
-
-/// Whether the `CQDET_NAIVE_HOM=1` escape hatch is active (checked once).
-fn use_naive_engine() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| {
-        std::env::var("CQDET_NAIVE_HOM")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-    })
 }
 
 /// How the search enumerates candidate images at one order position.
@@ -611,9 +600,6 @@ impl<'p, 'a> Search<'p, 'a> {
 
 /// The exact number of homomorphisms from `source` to `target`.
 pub fn hom_count(source: &Structure, target: &Structure) -> Nat {
-    if use_naive_engine() {
-        return reference::hom_count(source, target);
-    }
     let plan = Plan::build(source.flat(), target.flat(), source, target, false);
     let mut s = Search::new(&plan, Mode::CountAll);
     s.run();
@@ -624,20 +610,11 @@ pub fn hom_count(source: &Structure, target: &Structure) -> Nat {
 /// per candidate extension and unwinds with a typed [`Interrupt`] within one
 /// flush window of the budget or deadline firing.  A returned count is
 /// always the complete, exact count (partial searches never leak a value).
-///
-/// The `CQDET_NAIVE_HOM=1` oracle hatch falls back to the unmetered
-/// reference engine (the deadline is still checked before and after).
 pub fn hom_count_gas(
     source: &Structure,
     target: &Structure,
     gas: &mut Gas,
 ) -> Result<Nat, Interrupt> {
-    if use_naive_engine() {
-        gas.flush()?;
-        let count = reference::hom_count(source, target);
-        gas.flush()?;
-        return Ok(count);
-    }
     let plan = Plan::build(source.flat(), target.flat(), source, target, false);
     let mut s = Search::with_gas(&plan, Mode::CountAll, gas.clone());
     s.run();
@@ -650,9 +627,6 @@ pub fn hom_count_gas(
 
 /// Whether at least one homomorphism from `source` to `target` exists.
 pub fn hom_exists(source: &Structure, target: &Structure) -> bool {
-    if use_naive_engine() {
-        return reference::hom_exists(source, target);
-    }
     let plan = Plan::build(source.flat(), target.flat(), source, target, false);
     let mut s = Search::new(&plan, Mode::FindFirst);
     s.run();
@@ -665,12 +639,6 @@ pub fn hom_exists_gas(
     target: &Structure,
     gas: &mut Gas,
 ) -> Result<bool, Interrupt> {
-    if use_naive_engine() {
-        gas.flush()?;
-        let exists = reference::hom_exists(source, target);
-        gas.flush()?;
-        return Ok(exists);
-    }
     let plan = Plan::build(source.flat(), target.flat(), source, target, false);
     let mut s = Search::with_gas(&plan, Mode::FindFirst, gas.clone());
     s.run();
@@ -700,9 +668,6 @@ pub fn injective_probe_count() -> u64 {
 /// Whether an *injective* homomorphism from `source` to `target` exists.
 pub fn injective_hom_exists(source: &Structure, target: &Structure) -> bool {
     INJECTIVE_PROBES.with(|c| c.set(c.get() + 1));
-    if use_naive_engine() {
-        return reference::injective_hom_exists(source, target);
-    }
     let plan = Plan::build(source.flat(), target.flat(), source, target, false);
     let mut s = Search::new(&plan, Mode::FindInjective);
     s.run();
@@ -714,9 +679,6 @@ pub fn injective_hom_exists(source: &Structure, target: &Structure) -> bool {
 /// Intended for small instances (tests, examples, query evaluation with free
 /// variables); the count can be exponential in the size of `source`.
 pub fn hom_enumerate(source: &Structure, target: &Structure) -> Vec<Homomorphism> {
-    if use_naive_engine() {
-        return reference::hom_enumerate(source, target);
-    }
     let (src, tgt) = (source.flat(), target.flat());
     let plan = Plan::build(src, tgt, source, target, true);
     let mut s = Search::new(&plan, Mode::Collect);
@@ -1006,8 +968,8 @@ pub fn hom_count_cached_gas(
 }
 
 /// The original `BTreeMap`-based backtracking engine, kept verbatim as the
-/// differential-testing oracle for the flat-index engine (and selectable at
-/// runtime with `CQDET_NAIVE_HOM=1`).
+/// differential-testing oracle for the flat-index engine.  No served path
+/// reaches it; the differential tests call it directly.
 pub mod reference {
     use super::{Homomorphism, Mode};
     use crate::structure::{Const, Structure};

@@ -1,15 +1,9 @@
-//! Differential tests for the candidate-filter kernels: the auto-vectorized
-//! lane kernel must agree with the retained scalar oracle — directly on
-//! random lane matrices, and end-to-end through `hom_count`, whose
-//! plan-build candidate lists are the only consumer of the filter.
-//!
-//! The end-to-end test flips the process-wide `force_scalar_filter` knob, so
-//! everything touching it lives in this dedicated test binary (a single
-//! `#[test]` body per knob scope) and restores the default before returning.
+//! Differential tests for the candidate-filter kernel: the auto-vectorized
+//! lane kernel must agree with the retained scalar oracle on random lane
+//! matrices, and `hom_count`, whose plan-build candidate lists are the only
+//! consumer of the filter, must agree with the naive reference engine.
 
-use cqdet_structure::filter::{
-    force_scalar_filter, lane_superset_indices, scalar_superset_indices,
-};
+use cqdet_structure::filter::{scalar_superset_indices, superset_indices};
 use cqdet_structure::hom::reference;
 use cqdet_structure::{hom_count, Schema, StructureGenerator};
 use proptest::prelude::*;
@@ -41,7 +35,7 @@ proptest! {
             .map(|_| if zero_mask { 0 } else { next() & next() })
             .collect();
         prop_assert_eq!(
-            lane_superset_indices(&mask, &lanes, stride, n),
+            superset_indices(&mask, &lanes, stride, n),
             scalar_superset_indices(&mask, &lanes, stride, n)
         );
         if n > 0 {
@@ -49,16 +43,15 @@ proptest! {
             // a superset of itself.
             let first = lanes[..stride].to_vec();
             prop_assert_eq!(
-                lane_superset_indices(&first, &lanes, stride, 1),
+                superset_indices(&first, &lanes, stride, 1),
                 vec![0u32]
             );
         }
     }
 }
 
-/// `hom_count` is invariant under the kernel choice on random structures —
-/// and both kernels agree with the naive reference engine.  One `#[test]`
-/// owns the global knob for the whole binary.
+/// `hom_count` through the lane kernel agrees with the naive reference
+/// engine on random structures.
 #[test]
 fn hom_count_invariant_under_filter_kernel() {
     let schema = Schema::with_relations([("E", 2), ("P", 1), ("T", 3)]);
@@ -67,13 +60,8 @@ fn hom_count_invariant_under_filter_kernel() {
             StructureGenerator::new(schema.clone(), seed).random_with_facts(3, (seed % 5) as usize);
         let target = StructureGenerator::new(schema.clone(), seed ^ 0xBEEF)
             .random_with_facts(1 + (seed % 4) as usize, (seed % 11) as usize);
-        let lane = hom_count(&source, &target);
-        force_scalar_filter(true);
-        let scalar = hom_count(&source, &target);
-        force_scalar_filter(false);
-        assert_eq!(lane, scalar, "kernel mismatch at seed {seed}");
         assert_eq!(
-            lane,
+            hom_count(&source, &target),
             reference::hom_count(&source, &target),
             "engine mismatch at seed {seed}"
         );

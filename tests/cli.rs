@@ -226,35 +226,6 @@ fn batch_emits_reverifiable_records_and_stats() {
 }
 
 #[test]
-fn forced_exact_linalg_hatch_agrees_with_modular_path() {
-    // CQDET_EXACT_LINALG=1 forces the pure-Rat linear algebra; every task
-    // outcome and every certificate verification must agree with the
-    // modular-prescreened default.  (Coefficient values may legitimately
-    // differ on underdetermined systems — any exact combination is a valid
-    // certificate — so the comparison is per-task status + verified flag.)
-    let default_run = run_cqdet(&["batch", &golden("mixed.cqb"), "--quiet"]);
-    assert!(default_run.status.success());
-    let forced_run = Command::new(env!("CARGO_BIN_EXE_cqdet"))
-        .args(["batch", &golden("mixed.cqb"), "--quiet"])
-        .env("CQDET_EXACT_LINALG", "1")
-        .output()
-        .expect("spawn cqdet");
-    assert!(forced_run.status.success(), "{forced_run:?}");
-    let default_lines = stdout_lines(&default_run);
-    let forced_lines = stdout_lines(&forced_run);
-    assert_eq!(default_lines.len(), forced_lines.len());
-    for (d, f) in default_lines.iter().zip(&forced_lines) {
-        let (d, f) = (Json::parse(d).unwrap(), Json::parse(f).unwrap());
-        if d.get("type").and_then(Json::as_str) == Some("session_stats") {
-            continue;
-        }
-        assert_eq!(d.get("task"), f.get("task"));
-        assert_eq!(d.get("status"), f.get("status"), "{:?}", d.get("task"));
-        assert_eq!(d.get("verified"), f.get("verified"), "{:?}", d.get("task"));
-    }
-}
-
-#[test]
 fn batch_json_agrees_with_in_process_engine() {
     // The CLI's records must match what the library computes on the same
     // task file (same ids, same statuses, same determinacy).

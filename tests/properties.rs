@@ -223,38 +223,65 @@ proptest! {
         prop_assert!(record.verified != Some(false), "certificate re-verification failed");
     }
 
-    /// Fuel inside the tiered span solver: a step budget expiring at an
-    /// arbitrary row operation of the modular prescreen or the exact
-    /// elimination surfaces as a typed `Interrupt` — never a panic, never a
-    /// wrong in-span/out-of-span verdict — and the unmetered retry on the
-    /// same inputs gives the true answer.
+    /// Fuel inside the served span solver ([`IncrementalBasis`], which
+    /// `DecisionContext::span_solve_gas` drives): a step budget expiring at
+    /// an arbitrary row operation surfaces as a typed `Interrupt` — never a
+    /// panic, never a wrong in-span/out-of-span verdict — and an unmetered
+    /// retry on the same, partially fed basis (as the span cache resumes
+    /// it) gives the true answer.  The systems are small non-negative
+    /// integer vectors, the range Definition 29 multiplicity vectors take;
+    /// the dense exact elimination is the oracle.
+    ///
+    /// [`IncrementalBasis`]: cqdet::linalg::IncrementalBasis
     #[test]
     fn span_solver_fuel_expiry_is_typed_never_wrong(
-        limit in 1u64..200_000,
-        seed in 0u64..1000,
-        big in any::<bool>(),
+        limit in 1u64..400,
+        k in 3usize..12,
+        n in 1usize..10,
+        entries in prop::collection::vec(0i64..5, 108),
+        coeffs in prop::collection::vec(-3i64..4, 9),
+        probe in prop::collection::vec(0i64..5, 11),
     ) {
-        use cqdet::linalg::span_coefficients_gas;
-        use cqdet::parallel::{Budget, Gas};
-        let (k, n, bits) = if big { (48, 12, 256) } else { (24, 8, 64) };
-        let (generators, in_span, outside) = cqdet_bench::span_workload(k, n, bits, seed);
-        let budget = Budget::with_limits(Some(limit), None);
-        for (target, expected_in_span) in [(&in_span, true), (&outside, false)] {
+        use cqdet::linalg::{span_coefficients, IncrementalBasis, QVec, Rat};
+        use cqdet::parallel::{Budget, Gas, Interrupt};
+        // Fewer generators than dimensions, so the probe is usually outside.
+        let generators: Vec<QVec> = entries
+            .chunks(k)
+            .take(n.min(k - 1))
+            .map(QVec::from_i64s)
+            .collect();
+        let mut planted = QVec::zeros(k);
+        for (g, &c) in generators.iter().zip(&coeffs) {
+            planted = &planted + &g.scale(&Rat::from_i64(c));
+        }
+        for target in [planted, QVec::from_i64s(&probe[..k])] {
+            let expected_in_span = span_coefficients(&generators, &target).is_some();
+            let budget = Budget::with_limits(Some(limit), None);
+            let mut basis = IncrementalBasis::new(k);
             let mut gas = Gas::new(&CancelToken::none(), &budget, "span");
-            match span_coefficients_gas(&generators, target, &mut gas) {
+            match basis.solve_extend_gas(&target, &generators, &mut gas) {
                 // Finished under budget: the verdict must be the true one.
                 Ok(alpha) => prop_assert_eq!(alpha.is_some(), expected_in_span),
                 // Interrupted mid-elimination: typed, with an honest ledger.
-                Err(interrupt) => {
-                    let msg = interrupt.to_string();
-                    prop_assert!(msg.contains("steps"), "untyped interrupt: {msg}");
+                Err(Interrupt::Exhausted(e)) => {
+                    prop_assert_eq!(e.what, "steps");
+                    prop_assert_eq!(e.limit, limit);
+                    prop_assert!(e.spent > limit && e.spent == budget.steps_spent());
                 }
+                Err(other) => prop_assert!(false, "unexpected interrupt: {other}"),
             }
-            // The meter never corrupts the answer for a fresh, unmetered run.
-            prop_assert_eq!(
-                cqdet::linalg::span_coefficients(&generators, target).is_some(),
-                expected_in_span
-            );
+            // The meter never corrupts the basis: resuming the feed where
+            // it stopped, unmetered, gives the true answer.
+            let fed = basis.len();
+            let retried = basis.solve_extend(&target, &generators[fed..]);
+            prop_assert_eq!(retried.is_some(), expected_in_span);
+            if let Some(alpha) = retried {
+                let mut acc = QVec::zeros(k);
+                for (g, a) in generators.iter().zip(alpha.iter()) {
+                    acc = &acc + &g.scale(a);
+                }
+                prop_assert_eq!(acc, target.clone());
+            }
         }
     }
 
@@ -328,9 +355,7 @@ proptest! {
     /// budget attached, any request may instead surface as a typed
     /// `resource_exhausted` — in which case the mutation rolled back
     /// cleanly and the session stays usable, which the same byte-identity
-    /// check (against the unmutated view set) verifies.  CI runs this
-    /// binary under both `CQDET_EXACT_LINALG` hatches, so the invariant is
-    /// pinned on the tiered and the pure-rational solvers alike.
+    /// check (against the unmutated view set) verifies.
     #[test]
     fn session_mutation_sequences_match_one_shot_decide(
         opens in 1usize..4,
