@@ -54,14 +54,13 @@ pub const DELTA_CHURN_VIEWS: usize = 8;
 
 /// The §DELTA workload: `count` single-directed-path views (lengths
 /// `1..=count`, so every view is its own isomorphism class and the span
-/// echelon holds one generator per view), the query = the disjoint sum of
+/// system has one generator per view), the query = the disjoint sum of
 /// one path of each length (its Definition 29 vector is the sum of every
 /// view vector, so the instance is determined and the solve walks the full
 /// 64-generator system), and `extras` churn views `w_k = P_k ⊕ P_{k+1}`:
-/// each is a fresh isomorphism class (so adds genuinely extend the
-/// echelon) whose components are already basis elements and whose vector
-/// is dependent (`v_k + v_{k+1}`), keeping the instance determined and the
-/// removal on the dependent-slot compaction path.
+/// each is a fresh isomorphism class (so an add changes the span-cache
+/// key) whose components are already basis elements and whose vector is
+/// dependent (`v_k + v_{k+1}`), keeping the instance determined.
 pub fn delta_workload(
     count: usize,
     extras: usize,

@@ -405,7 +405,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     /// Remove the entry under `key`, returning its value and discharging
     /// its bytes from the shard and the global ledger.  The key's stale
     /// clock-queue slot is left behind — the sweep already tolerates
-    /// vacancies (see [`ShardedCache::sweep`]) and drops it on its next
+    /// vacancies (see `ShardedCache::sweep`) and drops it on its next
     /// pass.  Used by owners whose entries have an explicit end of life
     /// (closed sessions), unlike the purely eviction-driven value caches.
     pub fn remove(&self, key: &K) -> Option<V> {

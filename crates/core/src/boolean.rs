@@ -278,11 +278,11 @@ pub fn decide_bag_determinacy_budgeted(
 
 /// Everything the Theorem 3 pipeline computes *before* the span test:
 /// validation, freezing, class interning, the Definition 25 gate, the
-/// Definition 27 basis and the Definition 29 vectors.  Shared between the
-/// one-shot decision above and the mutable-session redecide path
-/// ([`crate::delta::MutableSession`]), which substitutes its own long-lived
-/// echelon for the span cache — both paths scatter coefficients through
-/// [`finish`], so their certificates agree byte for byte by construction.
+/// Definition 27 basis and the Definition 29 vectors.  The one-shot
+/// decision above solves the span system over it and scatters the verdict
+/// through [`finish`]; [`crate::delta::MutableSession::open`] runs
+/// [`prepare`] alone, to validate a session's instance and warm the caches
+/// its first `redecide` reads.
 pub(crate) struct Prepared {
     pub(crate) schema: Schema,
     /// Indices (into the input slice) of the retained views.
@@ -298,7 +298,7 @@ pub(crate) struct Prepared {
     /// span system's generators.
     pub(crate) class_vectors: Vec<QVec>,
     /// Session-wide class ids of the retained classes, same order as
-    /// `class_vectors` — the generator-slot layout of a session echelon.
+    /// `class_vectors`.
     pub(crate) retained_class_ids: Vec<u32>,
     /// Per input view: its call-local class index.
     pub(crate) class_of: Vec<usize>,
@@ -316,16 +316,6 @@ impl Prepared {
         self.basis.len() == self.prefix_dim
     }
 
-    /// Session-wide class ids of the basis elements in coordinate order —
-    /// the coordinate layout of a session echelon.  Only meaningful to
-    /// compute when the span system will actually run.
-    pub(crate) fn coord_class_ids(&self, cx: &DecisionContext) -> Vec<u32> {
-        self.basis
-            .iter()
-            .map(|w| cx.class_id(&w.iso_class_key()))
-            .collect()
-    }
-
     /// The span-cache key: the retained class-id sequence pins the columns,
     /// and the appended basis class ids (behind a separator no real id can
     /// collide with) pin the *coordinate order* — isomorphic view bodies
@@ -335,7 +325,7 @@ impl Prepared {
     pub(crate) fn span_key(&self, cx: &DecisionContext) -> Vec<u32> {
         let mut key = self.retained_class_ids.clone();
         key.push(u32::MAX);
-        key.extend(self.coord_class_ids(cx));
+        key.extend(self.basis.iter().map(|w| cx.class_id(&w.iso_class_key())));
         key
     }
 }
@@ -355,6 +345,30 @@ fn stage_map<T: Sync, R: Send>(fan_out: bool, items: &[T], f: impl Fn(&T) -> R +
     }
 }
 
+/// The preconditions of Theorem 3 on an instance: the query and every view
+/// are boolean, and no relation of their common schema has arity 0 (Lemma
+/// 4's sum rules need a variable in every component).  Returns that schema.
+/// [`prepare`] checks a whole instance with it; a session's `view_add`
+/// checks the instance the new view would make.
+pub(crate) fn check_instance(
+    views: &[&ConjunctiveQuery],
+    query: &ConjunctiveQuery,
+) -> Result<Schema, DeterminacyError> {
+    if !query.is_boolean() {
+        return Err(DeterminacyError::QueryNotBoolean(query.name().to_string()));
+    }
+    if let Some(v) = views.iter().find(|v| !v.is_boolean()) {
+        return Err(DeterminacyError::ViewNotBoolean(v.name().to_string()));
+    }
+    let mut all = views.to_vec();
+    all.push(query);
+    let schema = common_schema(&all);
+    if let Some((rel, _)) = schema.relations().find(|&(_, arity)| arity == 0) {
+        return Err(DeterminacyError::NullaryRelation(rel.to_string()));
+    }
+    Ok(schema)
+}
+
 /// Stages 0–3 of the pipeline (see [`Prepared`]); the caller supplies the
 /// span verdict and scatters it through [`finish`].
 pub(crate) fn prepare(
@@ -364,21 +378,8 @@ pub(crate) fn prepare(
     ctl: &CancelToken,
     budget: &Budget,
 ) -> Result<Prepared, DeterminacyError> {
-    if !query.is_boolean() {
-        return Err(DeterminacyError::QueryNotBoolean(query.name().to_string()));
-    }
-    for v in views {
-        if !v.is_boolean() {
-            return Err(DeterminacyError::ViewNotBoolean(v.name().to_string()));
-        }
-    }
     let all: Vec<&ConjunctiveQuery> = views.iter().chain(std::iter::once(query)).collect();
-    let schema = common_schema(&all);
-    for (rel, arity) in schema.relations() {
-        if arity == 0 {
-            return Err(DeterminacyError::NullaryRelation(rel.to_string()));
-        }
-    }
+    let schema = check_instance(&all[..views.len()], query)?;
 
     // Freeze every query exactly once over the common schema — or reuse the
     // session's frozen copy when an earlier call already did.  All later

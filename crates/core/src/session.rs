@@ -206,7 +206,7 @@ fn span_weight(key: &Vec<u32>, entry: &Arc<SpanEntry>) -> usize {
 /// of tasks (`&DecisionContext` is `Sync`).  The value caches (frozen bodies,
 /// gate verdicts, span systems, hom counts) are governed
 /// [`ShardedCache`]s — byte-capped, clock-evicting, never refusing — and
-/// the interning class table is bounded by [`CONTEXT_CACHE_CAP`].
+/// the interning class table is bounded by `CONTEXT_CACHE_CAP`.
 pub struct DecisionContext {
     caches: Arc<SharedCaches>,
     frozen: ShardedCache<String, Arc<FrozenQuery>>,
@@ -268,7 +268,7 @@ impl DecisionContext {
     }
 
     /// A fresh context whose five governed caches split `total` bytes
-    /// ([`SPLIT_HOM`] et al.); `None` keeps the defaults.
+    /// (`SPLIT_HOM` et al.); `None` keeps the defaults.
     pub fn with_cache_bytes(total: Option<u64>) -> DecisionContext {
         let cx = DecisionContext::new();
         cx.set_cache_bytes(total);

@@ -316,8 +316,8 @@ impl DecisionSession {
     /// Turn an already-computed decision outcome into the full certificate
     /// [`TaskRecord`] — the witness-construction / re-verification half of
     /// [`DecisionSession::run_task_budgeted`].  The serving layer's mutable
-    /// sessions use this to certify a `redecide` whose analysis came out of
-    /// a [`cqdet_core::MutableSession`] rather than a one-shot decide.
+    /// sessions use this to certify the analysis of a
+    /// [`cqdet_core::MutableSession::redecide`].
     pub fn record_from_outcome(
         &self,
         task: &Task,

@@ -39,8 +39,9 @@ struct EchelonRow {
     coords: Vec<Rat>,
 }
 
-/// An online echelon form over ℚ with per-row generator coordinates.  See
-/// the [module docs](self).
+/// An online echelon form over ℚ with per-row generator coordinates:
+/// generators are inserted one at a time into a fully reduced echelon, and
+/// [`IncrementalBasis::solve_extend`] feeds them lazily with early exit.
 pub struct IncrementalBasis {
     dim: usize,
     /// Number of generators inserted so far (including dependent ones).
@@ -360,310 +361,6 @@ impl IncrementalBasis {
     }
 }
 
-// ---- checkpointed basis with row removal --------------------------------
-
-/// How [`CheckpointedBasis::remove_slots_gas`] repaired the echelon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RemovalKind {
-    /// Every removed slot was a dependent insert (it never created a row),
-    /// so the echelon was compacted in place — no elimination re-ran.
-    Compacted,
-    /// A removed slot was pivotal: the basis was restored from the last
-    /// checkpoint at or before the first removed slot and the surviving
-    /// generators after it were re-inserted.
-    Replayed,
-}
-
-/// A saved echelon state: the reduced rows exactly as they stood after
-/// `inserted` generators had been fed (the coordinate columns of later
-/// generators are all zero at that point, so the export is self-contained).
-struct Checkpoint {
-    inserted: usize,
-    rows: Vec<(usize, QVec, Vec<Rat>)>,
-}
-
-/// An [`IncrementalBasis`] that additionally supports **generator removal**,
-/// for long-lived mutable sessions whose view pool shrinks as well as grows.
-///
-/// The wrapper owns the authoritative generator sequence; the inner echelon
-/// holds a fed prefix of it (`fed() ≤ len()`, lagging only after a fuel
-/// interrupt) and is caught up at the start of every metered operation.
-/// Removal has two regimes:
-///
-/// * a removed slot whose insert was **dependent** (created no row) is
-///   provably indistinguishable from never having been inserted — no row
-///   ever references its coordinate column (rows created earlier predate
-///   the slot; rows created later start at zero there and only mix rows
-///   that are zero there) — so all-dependent removals compact coordinate
-///   columns in place without re-running any elimination;
-/// * a **pivotal** slot's row is woven into every later reduction, so the
-///   echelon is restored from the newest checkpoint at or before the first
-///   removed slot (checkpoints are taken every `interval` fed generators)
-///   and the surviving suffix is re-inserted, fuel-charged like any insert.
-///
-/// Checkpoint snapshots are plain row exports; their clone cost is bounded
-/// bookkeeping accounted through [`CheckpointedBasis::heap_bytes`] (the
-/// governed-cache byte ledger), while every elimination step stays on the
-/// [`Gas`] ledger.
-pub struct CheckpointedBasis {
-    basis: IncrementalBasis,
-    /// The authoritative generator sequence; `basis` has fed the prefix of
-    /// length [`Self::fed`].
-    generators: Vec<QVec>,
-    /// Per *fed* slot: whether its insert created a row (independent).
-    pivotal: Vec<bool>,
-    /// Checkpoint cadence in fed generators (≥ 1).
-    interval: usize,
-    checkpoints: Vec<Checkpoint>,
-}
-
-impl CheckpointedBasis {
-    /// An empty checkpointed basis in ambient dimension `dim`, snapshotting
-    /// every `interval` fed generators (clamped to ≥ 1).
-    pub fn new(dim: usize, interval: usize) -> CheckpointedBasis {
-        CheckpointedBasis {
-            basis: IncrementalBasis::new(dim),
-            generators: Vec::new(),
-            pivotal: Vec::new(),
-            interval: interval.max(1),
-            checkpoints: Vec::new(),
-        }
-    }
-
-    /// The ambient dimension.
-    pub fn dim(&self) -> usize {
-        self.basis.dim
-    }
-
-    /// Number of generators in the authoritative sequence.
-    pub fn len(&self) -> usize {
-        self.generators.len()
-    }
-
-    /// Whether the generator sequence is empty.
-    pub fn is_empty(&self) -> bool {
-        self.generators.is_empty()
-    }
-
-    /// Number of generators the echelon has fed so far (≤ [`Self::len`];
-    /// strictly less only after an interrupt).
-    pub fn fed(&self) -> usize {
-        self.basis.len()
-    }
-
-    /// Rank of the fed generators.
-    pub fn rank(&self) -> usize {
-        self.basis.rank()
-    }
-
-    /// Number of checkpoints currently retained.
-    pub fn checkpoints(&self) -> usize {
-        self.checkpoints.len()
-    }
-
-    /// Heap bytes owned by the echelon, the generator copies and every
-    /// checkpoint — the session cache weighs entries by this.
-    pub fn heap_bytes(&self) -> usize {
-        self.basis.heap_bytes()
-            + self.generators.iter().map(QVec::heap_bytes).sum::<usize>()
-            + self
-                .checkpoints
-                .iter()
-                .map(|cp| {
-                    cp.rows
-                        .iter()
-                        .map(|(_, vec, coords)| {
-                            vec.heap_bytes() + coords.iter().map(Rat::heap_bytes).sum::<usize>()
-                        })
-                        .sum::<usize>()
-                })
-                .sum::<usize>()
-    }
-
-    /// Append a generator to the authoritative sequence (cheap, unmetered);
-    /// the echelon absorbs it on the next metered operation.
-    pub fn push_generator(&mut self, v: QVec) {
-        assert_eq!(v.dim(), self.dim(), "generator dimension mismatch");
-        self.generators.push(v);
-    }
-
-    /// Snapshot the echelon when the fed count hits the cadence.
-    fn maybe_checkpoint(&mut self) {
-        let n = self.basis.len();
-        if n > 0 && n.is_multiple_of(self.interval) {
-            self.checkpoints.push(Checkpoint {
-                inserted: n,
-                rows: self.basis.export_rows(),
-            });
-        }
-    }
-
-    /// Feed every not-yet-fed generator into the echelon, fuel-charged.  On
-    /// `Err` the state is consistent and *resumable*: generators fed before
-    /// the interrupt stay fed, the rest are absorbed by the next call.
-    pub fn catch_up_gas(&mut self, gas: &mut Gas) -> Result<(), Interrupt> {
-        while self.basis.len() < self.generators.len() {
-            let idx = self.basis.len();
-            let v = self.generators[idx].clone();
-            match self.basis.insert_indexed(&v, gas) {
-                Ok(created) => {
-                    self.pivotal.push(created.is_some());
-                    self.maybe_checkpoint();
-                }
-                Err(stop) => {
-                    // The metered insert either completed (a row was pushed
-                    // — only pivotal inserts take the interrupted-restore
-                    // path) or left the basis untouched.
-                    if self.basis.len() > idx {
-                        self.pivotal.push(true);
-                        self.maybe_checkpoint();
-                    }
-                    return Err(stop);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Solve `target = Σ αᵢ·generatorᵢ` against the (caught-up) echelon:
-    /// coefficients over the full generator sequence, or `None` when the
-    /// target is outside their span.  Fuel-charged; an interrupt leaves the
-    /// state consistent and resumable.
-    pub fn solve_gas(&mut self, target: &QVec, gas: &mut Gas) -> Result<Option<QVec>, Interrupt> {
-        self.catch_up_gas(gas)?;
-        self.basis.solve_extend_gas(target, &[], gas)
-    }
-
-    /// Grow the ambient dimension to `new_dim`, zero-padding every stored
-    /// vector (rows, generators, checkpoints).  Padding preserves every
-    /// echelon invariant — new coordinates are zero everywhere — so this is
-    /// exact, and it is how a session absorbs freshly appended basis
-    /// components.
-    pub fn grow_dim(&mut self, new_dim: usize) {
-        assert!(new_dim >= self.dim(), "dimension can only grow");
-        self.basis.dim = new_dim;
-        for row in &mut self.basis.rows {
-            row.vec.0.resize(new_dim, Rat::zero());
-        }
-        for g in &mut self.generators {
-            g.0.resize(new_dim, Rat::zero());
-        }
-        for cp in &mut self.checkpoints {
-            for (_, vec, _) in &mut cp.rows {
-                vec.0.resize(new_dim, Rat::zero());
-            }
-        }
-    }
-
-    /// Drop the ambient coordinates `cols` (sorted ascending, distinct),
-    /// which **must** be zero in every stored generator — the caller removes
-    /// coordinates no surviving generator touches (a basis component only
-    /// departed views contributed).  Rows are linear combinations of the
-    /// generators, so they are zero there too; pivots above each dropped
-    /// column shift down.  Checkpoints are discarded (their generator
-    /// prefixes are equally zero there, but re-deriving them is not worth
-    /// the bookkeeping — the next removal simply replays from further back).
-    pub fn drop_columns(&mut self, cols: &[usize]) {
-        if cols.is_empty() {
-            return;
-        }
-        debug_assert!(cols.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(self
-            .generators
-            .iter()
-            .all(|g| cols.iter().all(|&c| g.0[c].is_zero())));
-        let drop_from = |vec: &mut QVec| {
-            for &c in cols.iter().rev() {
-                vec.0.remove(c);
-            }
-        };
-        for g in &mut self.generators {
-            drop_from(g);
-        }
-        for row in &mut self.basis.rows {
-            debug_assert!(cols.iter().all(|&c| row.vec.0[c].is_zero()));
-            drop_from(&mut row.vec);
-            row.pivot -= cols.iter().filter(|&&c| c < row.pivot).count();
-        }
-        self.basis.dim -= cols.len();
-        self.checkpoints.clear();
-    }
-
-    /// Remove the generator slots `slots` (sorted ascending, distinct, all
-    /// `< len()`), repairing the echelon.
-    ///
-    /// Fast path — every removed *fed* slot was dependent: compaction only
-    /// (see the type docs for why this is exact).  Otherwise the echelon is
-    /// restored from the newest checkpoint at or before the first removed
-    /// slot and the surviving suffix is replayed, fuel-charged.  On `Err`
-    /// the removal **has been applied** to the authoritative sequence and
-    /// the state is consistent; the interrupted replay resumes on the next
-    /// metered operation.
-    pub fn remove_slots_gas(
-        &mut self,
-        slots: &[usize],
-        gas: &mut Gas,
-    ) -> Result<RemovalKind, Interrupt> {
-        debug_assert!(slots.windows(2).all(|w| w[0] < w[1]));
-        assert!(
-            slots.iter().all(|&s| s < self.generators.len()),
-            "slot out of range"
-        );
-        let fed = self.basis.len();
-        // Unfed slots never touched the echelon: drop them from the pending
-        // tail outright.
-        for &s in slots.iter().rev() {
-            if s >= fed {
-                self.generators.remove(s);
-            }
-        }
-        let fed_slots: Vec<usize> = slots.iter().copied().filter(|&s| s < fed).collect();
-        if fed_slots.is_empty() {
-            return Ok(RemovalKind::Compacted);
-        }
-        if fed_slots.iter().all(|&s| !self.pivotal[s]) {
-            // Pre-charge the compaction sweep before mutating anything.
-            gas.steps((self.basis.rows.len() * fed_slots.len() + fed_slots.len()) as u64)?;
-            for &s in fed_slots.iter().rev() {
-                self.generators.remove(s);
-                self.pivotal.remove(s);
-                for row in &mut self.basis.rows {
-                    if s < row.coords.len() {
-                        debug_assert!(row.coords[s].is_zero());
-                        row.coords.remove(s);
-                    }
-                }
-            }
-            self.basis.inserted -= fed_slots.len();
-            let min = fed_slots[0];
-            self.checkpoints.retain(|cp| cp.inserted <= min);
-            gas.flush()?;
-            return Ok(RemovalKind::Compacted);
-        }
-        // Replay: restore the newest checkpoint not past the first removed
-        // slot (its coordinate columns predate every removal), drop the
-        // removed suffix slots from the sequence, and re-feed the rest.
-        let first = fed_slots[0];
-        let restored = self
-            .checkpoints
-            .iter()
-            .filter(|cp| cp.inserted <= first)
-            .max_by_key(|cp| cp.inserted)
-            .and_then(|cp| IncrementalBasis::from_parts(self.dim(), cp.inserted, cp.rows.clone()))
-            .unwrap_or_else(|| IncrementalBasis::new(self.dim()));
-        self.basis = restored;
-        self.pivotal.truncate(self.basis.len());
-        self.checkpoints
-            .retain(|cp| cp.inserted <= self.basis.len());
-        for &s in fed_slots.iter().rev() {
-            self.generators.remove(s);
-        }
-        self.catch_up_gas(gas)?;
-        gas.flush()?;
-        Ok(RemovalKind::Replayed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -885,165 +582,6 @@ mod tests {
         assert!(IncrementalBasis::from_parts(3, 2, bad).is_none());
         // Rank above inserted count.
         assert!(IncrementalBasis::from_parts(3, 1, rows).is_none());
-    }
-
-    /// Reference model for the checkpointed tests: a fresh scratch basis
-    /// over `gens`, solving `target`.
-    fn scratch_solve(gens: &[QVec], target: &QVec) -> Option<QVec> {
-        let dim = target.dim();
-        let mut b = IncrementalBasis::new(dim);
-        for g in gens {
-            b.insert(g);
-        }
-        b.solve(target)
-    }
-
-    #[test]
-    fn checkpointed_matches_scratch_after_add_remove_churn() {
-        // Deterministic pseudo-random generators with plenty of dependence.
-        let dim = 6;
-        let gen = |seed: usize| {
-            QVec(
-                (0..dim)
-                    .map(|j| Rat::from_i64(((seed * 31 + j * 17 + 5) % 7) as i64 - 3))
-                    .collect(),
-            )
-        };
-        let mut cb = CheckpointedBasis::new(dim, 3);
-        let mut model: Vec<QVec> = Vec::new();
-        let mut gas = Gas::unlimited();
-        for seed in 0..10 {
-            cb.push_generator(gen(seed));
-            model.push(gen(seed));
-        }
-        // Interleave removals (front, middle, back) with solves and adds.
-        for (step, slot) in [(0usize, 0usize), (1, 3), (2, 5)] {
-            cb.remove_slots_gas(&[slot], &mut gas).unwrap();
-            model.remove(slot);
-            cb.push_generator(gen(100 + step));
-            model.push(gen(100 + step));
-            for t in 0..4 {
-                let target = gen(200 + step * 4 + t);
-                assert_eq!(
-                    cb.solve_gas(&target, &mut gas).unwrap(),
-                    scratch_solve(&model, &target),
-                    "step {step} target {t}"
-                );
-            }
-        }
-        assert_eq!(cb.len(), model.len());
-    }
-
-    #[test]
-    fn dependent_slot_removal_compacts_without_replay() {
-        let mut cb = CheckpointedBasis::new(3, 100);
-        let mut gas = Gas::unlimited();
-        cb.push_generator(v(&[1, 0, 0]));
-        cb.push_generator(v(&[2, 0, 0])); // dependent on slot 0
-        cb.push_generator(v(&[0, 1, 0]));
-        cb.catch_up_gas(&mut gas).unwrap();
-        assert_eq!(cb.rank(), 2);
-        let kind = cb.remove_slots_gas(&[1], &mut gas).unwrap();
-        assert_eq!(kind, RemovalKind::Compacted, "dependent slot: no replay");
-        assert_eq!(cb.len(), 2);
-        // Coefficients are over the compacted sequence.
-        let alpha = cb.solve_gas(&v(&[3, 7, 0]), &mut gas).unwrap().unwrap();
-        assert_eq!(alpha, v(&[3, 7]));
-    }
-
-    #[test]
-    fn pivotal_removal_replays_from_checkpoint() {
-        let mut cb = CheckpointedBasis::new(4, 2);
-        let mut gas = Gas::unlimited();
-        let gens = [
-            v(&[1, 0, 0, 0]),
-            v(&[1, 1, 0, 0]),
-            v(&[0, 0, 1, 0]),
-            v(&[0, 0, 1, 1]),
-        ];
-        for g in &gens {
-            cb.push_generator(g.clone());
-        }
-        cb.catch_up_gas(&mut gas).unwrap();
-        assert!(cb.checkpoints() >= 1, "cadence-2 snapshots were taken");
-        let kind = cb.remove_slots_gas(&[2], &mut gas).unwrap();
-        assert_eq!(kind, RemovalKind::Replayed, "pivotal slot forces a replay");
-        let model = [gens[0].clone(), gens[1].clone(), gens[3].clone()];
-        for target in [v(&[2, 1, 0, 0]), v(&[0, 0, 1, 1]), v(&[1, 1, 1, 1])] {
-            assert_eq!(
-                cb.solve_gas(&target, &mut gas).unwrap(),
-                scratch_solve(&model, &target)
-            );
-        }
-        // Out-of-span after the removal: slot 2's pivot died with it.
-        assert!(cb.solve_gas(&v(&[0, 0, 1, 0]), &mut gas).unwrap().is_none());
-    }
-
-    #[test]
-    fn grow_and_drop_columns_round_trip() {
-        let mut cb = CheckpointedBasis::new(2, 100);
-        let mut gas = Gas::unlimited();
-        cb.push_generator(v(&[1, 2]));
-        cb.catch_up_gas(&mut gas).unwrap();
-        cb.grow_dim(4);
-        assert_eq!(cb.dim(), 4);
-        cb.push_generator(v(&[0, 0, 1, 0]));
-        cb.catch_up_gas(&mut gas).unwrap();
-        // Solve in the grown dimension.
-        let alpha = cb.solve_gas(&v(&[2, 4, 5, 0]), &mut gas).unwrap().unwrap();
-        assert_eq!(alpha, v(&[2, 5]));
-        // Drop the never-touched columns (3) and the one slot-1 owns after
-        // removing slot 1.
-        cb.remove_slots_gas(&[1], &mut gas).unwrap();
-        cb.drop_columns(&[2, 3]);
-        assert_eq!(cb.dim(), 2);
-        let alpha = cb.solve_gas(&v(&[3, 6]), &mut gas).unwrap().unwrap();
-        assert_eq!(alpha, v(&[3]));
-    }
-
-    #[test]
-    fn interrupted_replay_resumes_on_next_operation() {
-        use cqdet_parallel::{Budget, CancelToken};
-        let n = 24;
-        let gens: Vec<QVec> = (0..n)
-            .map(|i| {
-                QVec(
-                    (0..n)
-                        .map(|j| Rat::from_i64(((i * j + 3 * i + j + 1) % 97) as i64 - 48))
-                        .collect(),
-                )
-            })
-            .collect();
-        let mut cb = CheckpointedBasis::new(n, 4);
-        for g in &gens {
-            cb.push_generator(g.clone());
-        }
-        cb.catch_up_gas(&mut Gas::unlimited()).unwrap();
-        // A tiny budget interrupts the replay mid-feed…
-        let tiny = Budget::with_limits(Some(8), None);
-        let mut gas = Gas::new(&CancelToken::none(), &tiny, "span");
-        let stop = cb.remove_slots_gas(&[1], &mut gas).unwrap_err();
-        assert!(matches!(stop, Interrupt::Exhausted(_)));
-        assert!(cb.fed() < cb.len(), "the echelon lags after the interrupt");
-        // …and the next unmetered solve catches up and answers exactly.
-        let mut model = gens.clone();
-        model.remove(1);
-        let target = {
-            let mut acc = QVec::zeros(n);
-            for g in &model {
-                acc = &acc + g;
-            }
-            acc
-        };
-        let alpha = cb
-            .solve_gas(&target, &mut Gas::unlimited())
-            .unwrap()
-            .expect("sum of survivors is in their span");
-        let mut recombined = QVec::zeros(n);
-        for (a, g) in alpha.iter().zip(&model) {
-            recombined = &recombined + &g.scale(a);
-        }
-        assert_eq!(recombined, target);
     }
 
     #[test]

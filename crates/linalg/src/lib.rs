@@ -49,7 +49,7 @@ mod rat;
 mod vector;
 
 pub use cone::{cone_contains, cone_coordinates, interior_cone_point, perturb_along};
-pub use incremental::{CheckpointedBasis, IncrementalBasis, RemovalKind};
+pub use incremental::IncrementalBasis;
 pub use matrix::{orthogonal_witness, span_coefficients, span_contains, QMat};
 pub use modular::primes;
 

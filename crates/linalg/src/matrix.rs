@@ -4,7 +4,6 @@
 use crate::rat::Rat;
 use crate::vector::{dot, QVec};
 use cqdet_bigint::{Int, Nat};
-use cqdet_parallel::{Gas, Interrupt};
 use std::fmt;
 
 /// The multiplier taking `row` to its primitive integer form (integer
@@ -197,17 +196,6 @@ impl QMat {
     /// Pivot entries are rescaled to 1 in a final pass, so the returned
     /// matrix is the canonical RREF regardless of the internal pivoting.
     pub fn rref(&self) -> (QMat, usize, Vec<usize>) {
-        match self.rref_gas(&mut Gas::unlimited()) {
-            Ok(r) => r,
-            Err(stop) => unreachable!("unlimited gas interrupted: {stop}"),
-        }
-    }
-
-    /// [`QMat::rref`] under fuel metering: every elimination row operation
-    /// charges the [`Gas`] handle (steps proportional to the row width,
-    /// bytes proportional to the multiplier's bit size), so an exhausted
-    /// budget or expired deadline interrupts the elimination mid-matrix.
-    pub fn rref_gas(&self, gas: &mut Gas) -> Result<(QMat, usize, Vec<usize>), Interrupt> {
         let mut m = self.clone();
         let mut pivots = Vec::new();
         let mut pivot_row = 0usize;
@@ -233,8 +221,6 @@ impl QMat {
                 }
                 let (pivot, target) = m.row_pair(pivot_row, r);
                 let factor = target[col].div_ref(&pivot_value);
-                gas.charge_bytes(factor.bit_size() as u64 / 8);
-                gas.steps((pivot.len() - col) as u64)?;
                 for j in col..pivot.len() {
                     if !pivot[j].is_zero() {
                         target[j] = target[j].sub_mul_ref(&factor, &pivot[j]);
@@ -244,7 +230,6 @@ impl QMat {
             pivots.push(col);
             pivot_row += 1;
         }
-        gas.flush()?;
         // Canonicalize: pivot entries become 1.
         for (row, &col) in pivots.iter().enumerate() {
             let pivot = m.get(row, col).clone();
@@ -259,7 +244,7 @@ impl QMat {
                 }
             }
         }
-        Ok((m, pivot_row, pivots))
+        (m, pivot_row, pivots)
     }
 
     /// Scale row `i` (whose entries before `from` are zero) to primitive

@@ -421,7 +421,7 @@ mod tests {
     }
 
     fn spin(x: u64) -> u64 {
-        let spins = if x % 13 == 0 { 200_000 } else { 10 };
+        let spins = if x.is_multiple_of(13) { 200_000 } else { 10 };
         (0..spins).fold(x, |acc, i| acc.wrapping_mul(31).wrapping_add(i))
     }
 

@@ -441,11 +441,9 @@ impl Engine {
             RequestKind::Explain { program, query } => {
                 self.explain(id, &program, &query, ctl, budget)
             }
-            RequestKind::SessionOpen {
-                program,
-                query,
-                checkpoint_interval,
-            } => self.session_open(id, &program, &query, checkpoint_interval, ctl, budget),
+            RequestKind::SessionOpen { program, query } => {
+                self.session_open(id, &program, &query, ctl, budget)
+            }
             RequestKind::ViewAdd { session, view } => {
                 self.session_mutate(id, session, &view, true, ctl, budget)
             }
@@ -536,20 +534,16 @@ impl Engine {
         id: &str,
         program: &str,
         query_name: &str,
-        checkpoint_interval: Option<u64>,
         ctl: &CancelToken,
         budget: &Budget,
     ) -> Result<Response, CqdetError> {
         let (views, query) = parse_program(program, query_name)?;
-        let interval = checkpoint_interval
-            .map(|k| k as usize)
-            .unwrap_or(cqdet_core::DEFAULT_CHECKPOINT_INTERVAL);
         let cx = self.session.context();
         // Opening validates the instance and warms the shared immutable
         // caches (frozen bodies, gate verdicts, class ids) — which is also
         // why a warm-start snapshot benefits reopened sessions.
         let opened = cqdet_structure::with_shared_caches(cx.caches(), || {
-            MutableSession::open(cx, views, query, interval, ctl, budget)
+            MutableSession::open(cx, views, query, 0, ctl, budget)
         })?;
         let view_names = opened
             .views()
@@ -566,8 +560,8 @@ impl Engine {
         })
     }
 
-    /// Shared body of `view_add` / `view_remove`: resolve the session, run
-    /// the mutation under its own lock (unrelated requests never wait), and
+    /// Shared body of `view_add` / `view_remove`: resolve the session, edit
+    /// its view list under its own lock (unrelated requests never wait), and
     /// re-publish its governed byte cost.
     fn session_mutate(
         &self,
@@ -628,9 +622,6 @@ impl Engine {
         let mut guard = slot.lock();
         let outcome =
             cqdet_structure::with_shared_caches(cx.caches(), || guard.redecide(cx, ctl, budget));
-        // An interrupted redecide keeps its (consistent, resumable)
-        // echelon, so the byte cost is re-published on every outcome.
-        self.sessions.publish(&slot, &guard);
         let task = Task {
             id: guard.query().name().to_string(),
             views: guard.views().to_vec(),
@@ -1170,7 +1161,6 @@ mod tests {
             RequestKind::SessionOpen {
                 program: PROGRAM.into(),
                 query: "q".into(),
-                checkpoint_interval: None,
             },
         ) else {
             panic!("expected a session_open response");
@@ -1288,6 +1278,83 @@ mod tests {
             panic!("a closed session must not resolve");
         };
         assert!(error.to_string().contains("unknown session"), "{error}");
+    }
+
+    #[test]
+    fn view_add_rejects_nullary_and_non_boolean_views_typed() {
+        let engine = Engine::new();
+        let Response::SessionOpen { session, .. } = submit(
+            &engine,
+            RequestKind::SessionOpen {
+                program: PROGRAM.into(),
+                query: "q".into(),
+            },
+        ) else {
+            panic!("expected a session_open response");
+        };
+        let Response::Decide { record, .. } = submit(
+            &engine,
+            RequestKind::Decide {
+                program: PROGRAM.into(),
+                query: "q".into(),
+                witness: true,
+            },
+        ) else {
+            panic!("expected a decide response");
+        };
+        let one_shot = record.to_json().render();
+        for (view, needle) in [
+            ("n() :- R(x,y), H()", "arity 0"),
+            ("f(x) :- R(x,y)", "not boolean"),
+        ] {
+            let Response::Error { error, .. } = submit(
+                &engine,
+                RequestKind::ViewAdd {
+                    session,
+                    view: view.into(),
+                },
+            ) else {
+                panic!("{view:?} must be rejected");
+            };
+            assert_eq!(error.code(), "schema", "{view:?}: {error}");
+            assert!(error.to_string().contains(needle), "{view:?}: {error}");
+            let Response::SessionDecide { record, .. } = submit(
+                &engine,
+                RequestKind::Redecide {
+                    session,
+                    witness: true,
+                },
+            ) else {
+                panic!("expected a redecide response");
+            };
+            assert_eq!(record.to_json().render(), one_shot, "after {view:?}");
+        }
+        // The rejected views never joined the list: removing one is an
+        // unknown-view error, and v1 is still there to remove.
+        let Response::Error { error, .. } = submit(
+            &engine,
+            RequestKind::ViewRemove {
+                session,
+                view: "n".into(),
+            },
+        ) else {
+            panic!("a rejected view must not be removable");
+        };
+        assert!(error.to_string().contains("no view named"), "{error}");
+        let Response::SessionDelta {
+            views, counters, ..
+        } = submit(
+            &engine,
+            RequestKind::ViewRemove {
+                session,
+                view: "v1".into(),
+            },
+        )
+        else {
+            panic!("expected a view_remove response");
+        };
+        assert_eq!(views, ["v2"]);
+        assert_eq!((counters.adds, counters.removes), (0, 1));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   hangs.
 //! * **Fairness.**  Dispatch takes at most one pending request per
 //!   connection per pass, cycling the starting connection, and at most
-//!   [`dispatch_depth`] requests are in the pool at once — a 1000-deep
+//!   `dispatch_depth` requests are in the pool at once — a 1000-deep
 //!   pipeliner therefore leads a single-request client by at most (that
 //!   depth + one round) from the client's admission, not by its whole
 //!   pipeline.  Each admitted frame carries the engine's request count at
@@ -40,7 +40,7 @@
 //!   reactor seam (`serve/poll`, `serve/dispatch`, `serve/shed`) costs at
 //!   most one *request* (typed internal error) and never the loop.
 //!
-//! The pool is created once per [`serve_tcp_reactor`] call and is the only
+//! The pool is created once per `serve_tcp_reactor` call and is the only
 //! source of threads while serving: a request that fans out (a batch, a
 //! large decide) borrows the pool's idle workers, or runs inline when
 //! every worker is busy.

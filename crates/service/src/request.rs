@@ -126,28 +126,23 @@ pub enum RequestKind {
         program: String,
         /// The query definition's name.
         query: String,
-        /// Checkpoint cadence of the session's span echelon (snapshot every
-        /// K fed generators); `None` uses the engine default.
-        checkpoint_interval: Option<u64>,
     },
-    /// Add one view to an open session, extending its span echelon in
-    /// place.
+    /// Add one view to an open session.
     ViewAdd {
         /// The target session id.
         session: u64,
         /// One CQ definition (the same syntax as a `program` line).
         view: String,
     },
-    /// Remove a view (by name) from an open session, repairing its span
-    /// echelon by compaction or checkpointed replay.
+    /// Remove a view (by name) from an open session.
     ViewRemove {
         /// The target session id.
         session: u64,
         /// The name of the view definition to remove.
         view: String,
     },
-    /// Re-decide determinacy for a session's current view set against its
-    /// live echelon — byte-identical to a fresh one-shot `decide`.
+    /// Decide determinacy for a session's current view set: a one-shot
+    /// `decide` of that set through the engine's warm caches.
     Redecide {
         /// The target session id.
         session: u64,
@@ -362,7 +357,6 @@ impl Request {
             "session_open" => RequestKind::SessionOpen {
                 program: fields.str("program")?,
                 query: fields.opt_str("query")?.unwrap_or_else(|| "q".to_string()),
-                checkpoint_interval: fields.opt_u64("checkpoint_interval")?,
             },
             "view_add" => RequestKind::ViewAdd {
                 session: fields.u64("session")?,
@@ -470,16 +464,9 @@ impl Request {
                 members.push(("program".into(), Json::str(program)));
                 members.push(("query".into(), Json::str(query)));
             }
-            RequestKind::SessionOpen {
-                program,
-                query,
-                checkpoint_interval,
-            } => {
+            RequestKind::SessionOpen { program, query } => {
                 members.push(("program".into(), Json::str(program)));
                 members.push(("query".into(), Json::str(query)));
-                if let Some(k) = checkpoint_interval {
-                    members.push(("checkpoint_interval".into(), Json::num(*k as i64)));
-                }
             }
             RequestKind::ViewAdd { session, view } | RequestKind::ViewRemove { session, view } => {
                 members.push(("session".into(), Json::num(*session as i64)));
@@ -545,16 +532,17 @@ mod tests {
     #[test]
     fn decodes_the_session_request_family() {
         let r = Request::from_line(
-            r#"{"id":"s1","type":"session_open","program":"v() :- R(x,y)","query":"q","checkpoint_interval":4}"#,
+            r#"{"id":"s1","type":"session_open","program":"v() :- R(x,y)","query":"q"}"#,
         )
         .unwrap();
-        assert!(matches!(
-            r.kind,
-            RequestKind::SessionOpen {
-                checkpoint_interval: Some(4),
-                ..
-            }
-        ));
+        assert!(matches!(r.kind, RequestKind::SessionOpen { ref query, .. } if query == "q"));
+        // `checkpoint_interval` is not a member: rejected like any unknown one.
+        let err = Request::from_line(
+            r#"{"id":"s1","type":"session_open","program":"v() :- R(x,y)","checkpoint_interval":4}"#,
+        )
+        .unwrap_err();
+        assert_eq!(err.code(), "schema");
+        assert!(err.to_string().contains("checkpoint_interval"), "{err}");
 
         let r = Request::from_line(
             r#"{"id":"s2","type":"view_add","session":7,"view":"v2() :- R(x,y), R(y,z)"}"#,
@@ -673,7 +661,6 @@ mod tests {
                 kind: RequestKind::SessionOpen {
                     program: "v() :- R(x,y)\nq() :- R(x,y)".into(),
                     query: "q".into(),
-                    checkpoint_interval: Some(4),
                 },
             },
             Request {

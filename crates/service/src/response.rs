@@ -148,8 +148,7 @@ pub enum Response {
         /// The session's view names *after* the mutation.
         views: Vec<String>,
         /// The session's cumulative delta counters (adds, removes,
-        /// fast removals, replays, rebuilds) — how the echelon was
-        /// repaired is observable, not guessed.
+        /// redecides).
         counters: cqdet_core::DeltaCounters,
     },
     /// Answer to a `redecide` request: the full certificate record against
@@ -433,9 +432,6 @@ pub fn delta_counters_json(counters: &cqdet_core::DeltaCounters) -> Json {
         ("adds", Json::num(counters.adds as i64)),
         ("removes", Json::num(counters.removes as i64)),
         ("redecides", Json::num(counters.redecides as i64)),
-        ("fast_removals", Json::num(counters.fast_removals as i64)),
-        ("replays", Json::num(counters.replays as i64)),
-        ("rebuilds", Json::num(counters.rebuilds as i64)),
     ])
 }
 

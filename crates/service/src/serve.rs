@@ -121,8 +121,8 @@ impl Default for ServeOptions {
 /// probe; likewise `cache/evict` only fires while a byte cap forces
 /// evictions (arm it with a tiny [`ServeOptions::cache_bytes`]), and the
 /// `snapshot/*` seams fire at boot/shutdown rather than per request, so
-/// they get their own save/corrupt/reload scenarios.  The `session/open`,
-/// `session/mutate` and `session/replay` seams fire only on mutable-session
+/// they get their own save/corrupt/reload scenarios.  The `session/open`
+/// and `session/mutate` seams fire only on mutable-session
 /// requests (`session_open`, `view_add`, `view_remove`), so the generic
 /// matrix skips them too; the dedicated session chaos scenario drives them
 /// with real mutation traffic and asserts apply-or-rollback atomicity.
@@ -143,7 +143,6 @@ pub fn failpoint_names() -> &'static [&'static str] {
         "session/cache-insert",
         "session/open",
         "session/mutate",
-        "session/replay",
         "cache/evict",
         "snapshot/save",
         "snapshot/load",

@@ -8,10 +8,11 @@
 //! traffic never touches a session lock at all).  The registry itself is a
 //! governed [`ShardedCache`] keyed by session id:
 //!
-//! * every slot's heap bytes (the session's span echelon plus checkpoint
-//!   prefixes) are published to the process-wide `cqdet-cache` byte ledger
-//!   after each mutation via [`ShardedCache::recharge`], so open sessions
-//!   count against the same memory watermark as every value cache;
+//! * every slot's heap bytes (the session's view list and query; its
+//!   decisions are cached in the engine's shared context) are published to
+//!   the process-wide `cqdet-cache` byte ledger after each mutation via
+//!   [`ShardedCache::recharge`], so open sessions count against the same
+//!   memory watermark as every value cache;
 //! * under byte pressure the cache's clock sweep evicts cold slots — an
 //!   evicted session answers later requests with a typed unknown-session
 //!   error, exactly like one reaped by TTL;
@@ -34,7 +35,7 @@ pub const DEFAULT_SESSION_TTL: Duration = Duration::from_secs(15 * 60);
 pub const DEFAULT_MAX_SESSIONS: usize = 256;
 
 /// Registry byte cap: far above honest session state, low enough that a
-/// runaway echelon (huge coefficients across many checkpoints) gets swept
+/// runaway view list (a client adding views without bound) gets swept
 /// before it threatens the process.
 const REGISTRY_CAP_BYTES: usize = 256 << 20;
 
@@ -52,9 +53,9 @@ pub struct SessionSlot {
 }
 
 impl SessionSlot {
-    /// Lock the session, recovering from poisoning: the mutation paths
-    /// follow a take/commit discipline, so a panicking mutation leaves the
-    /// session fully rolled back and safe to reuse.
+    /// Lock the session, recovering from poisoning: a mutation edits the
+    /// view list only as its last step, so a panicking request leaves the
+    /// session unchanged and safe to reuse.
     pub fn lock(&self) -> MutexGuard<'_, MutableSession> {
         match self.session.lock() {
             Ok(guard) => guard,
@@ -209,7 +210,7 @@ mod tests {
             cx,
             vec![cq(name)],
             cq("q"),
-            8,
+            0,
             &CancelToken::none(),
             &Budget::none(),
         )
@@ -256,17 +257,18 @@ mod tests {
         let registry = SessionRegistry::default();
         let slot = registry.insert(open_session(&cx, "v")).unwrap();
         let before = registry.slots.bytes();
-        // Warm the echelon so the session owns heap state, then publish.
+        // Grow the view list, then publish.
         {
             let mut session = slot.lock();
+            let grown = open_session(&cx, "w").views()[0].clone();
             session
-                .redecide(&cx, &CancelToken::none(), &Budget::none())
+                .view_add(&cx, grown, &CancelToken::none(), &Budget::none())
                 .unwrap();
             registry.publish(&slot, &session);
         }
         assert!(
             registry.slots.bytes() > before,
-            "echelon bytes must reach the registry ledger"
+            "view-list bytes must reach the registry ledger"
         );
         registry.close(slot.id).unwrap();
         assert_eq!(registry.slots.bytes(), 0, "close discharges every byte");

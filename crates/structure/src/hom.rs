@@ -7,12 +7,12 @@
 //! reproduction.
 //!
 //! The default engine works on the interned flat-index form of both
-//! structures ([`crate::flat`]): the backtracking state is a dense `Vec<u32>`
+//! structures (`crate::flat`): the backtracking state is a dense `Vec<u32>`
 //! assignment plus a `u64` bitset of used targets, candidate targets are
 //! precomputed per source element from occurrence-mask (arity + degree)
 //! filtering, and each source fact is checked exactly once per search path —
 //! at the moment its last argument is assigned.  The original `BTreeMap`
-//! engine is retained verbatim in [`reference`] as the differential-testing
+//! engine is retained verbatim in [`reference`](mod@reference) as the differential-testing
 //! oracle; tests call it directly.
 
 use crate::components::connected_components;

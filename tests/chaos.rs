@@ -686,9 +686,9 @@ fn shed_seam_survives_fault_matrix() {
     });
 }
 
-/// The three session seams (`session/open`, `session/mutate`,
-/// `session/replay`) under the full action matrix, over the real TCP
-/// server.  The invariant is atomicity: whatever fault fires mid-mutation,
+/// The two session seams (`session/open`, and `session/mutate` over both
+/// `view_add` and `view_remove`) under the full action matrix, over the
+/// real TCP server.  The invariant is atomicity: whatever fault fires mid-mutation,
 /// the session is either **fully applied** or **fully rolled back** — never
 /// a half-state.  Which of the two happened is read off the mutation's own
 /// typed response, and a follow-up `redecide` must then agree
@@ -706,10 +706,7 @@ fn session_seams_survive_fault_matrix() {
         let mut stream = server.connect();
 
         // Disjoint-path-sum views (v_i = one path of each length 1..=i):
-        // every view is its own iso class, removing the *first* view keeps
-        // the coordinate order intact (its basis elements re-first-occur in
-        // v2 in the same relative order), so `view_remove v1` walks the
-        // in-place removal-repair path where `session/replay` is armed.
+        // every view is its own iso class.
         let path_sum = |name: &str, upto: usize| {
             let mut atoms = Vec::new();
             for p in 1..=upto {
@@ -799,13 +796,11 @@ fn session_seams_survive_fault_matrix() {
             }
         }
 
-        // `session/mutate` over `view_add`, then `session/replay` over
-        // `view_remove` (armed inside the echelon's removal repair).
-        for (seam, is_remove) in [("session/mutate", false), ("session/replay", true)] {
+        // `session/mutate` over `view_add`, then over `view_remove`.
+        let seam = "session/mutate";
+        for is_remove in [false, true] {
             for action in actions() {
-                println!("session matrix: {seam} <- {action:?}");
-                // Warm the echelon so the mutation repairs in place (the
-                // replay seam is only on-path when session state exists).
+                println!("session matrix: {seam} (remove: {is_remove}) <- {action:?}");
                 let warm = roundtrip(&mut stream, &redecide_line);
                 assert_eq!(warm.get("type").unwrap().as_str(), Some("redecide"));
                 configure(seam, action.clone());

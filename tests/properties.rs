@@ -320,8 +320,7 @@ proptest! {
 }
 
 /// The candidate-view pool for the mutable-session differential test:
-/// disjoint-path-sum prefixes `v_i` (each its own iso class; adds append,
-/// removals exercise compaction, checkpoint replay, and rebuilds), a
+/// disjoint-path-sum prefixes `v_i` (each its own iso class), a
 /// duplicate-class edge view `e1` (≅ `v1`, so dropping either keeps the
 /// class set), and a loop view `w` (its removal makes the query's regime
 /// uncovered).  Returns `(name, definition)` pairs.
@@ -400,7 +399,6 @@ proptest! {
             kind: RequestKind::SessionOpen {
                 program: program(&current),
                 query: "q".into(),
-                checkpoint_interval: Some(2),
             },
         });
         let Response::SessionOpen { session, .. } = open else {
